@@ -1,6 +1,7 @@
 // google-benchmark microbenchmarks of the engine's hot paths: B+-tree
-// probes and inserts, tuple codec, buffer-pool bookkeeping, and end-to-end
-// planning/execution on a small database. These guard the wall-clock cost
+// probes and inserts, tuple codec, buffer-pool bookkeeping, IN-set
+// materialization (memo miss vs hit), and end-to-end planning/execution on
+// a small database. These guard the wall-clock cost
 // of the simulation itself (the figure benches run hundreds of queries).
 
 #include <benchmark/benchmark.h>
@@ -10,6 +11,7 @@
 
 #include "bench_support.h"
 #include "engine/database.h"
+#include "exec/operators.h"
 #include "optimizer/planner.h"
 #include "sql/binder.h"
 #include "storage/btree.h"
@@ -84,31 +86,85 @@ void BM_BufferPoolTouch(benchmark::State& state) {
 }
 BENCHMARK(BM_BufferPoolTouch);
 
+/// The small table `t(a PK, b, c)` the end-to-end benchmarks run on.
+Database* MakeSmallDb() {
+  // Deliberately leaked: each caller keeps it in a function-local static
+  // shared by all benchmarks, alive until process exit (destruction order
+  // vs. benchmark teardown is unspecified). NOLINT(tabbench-naked-new)
+  auto* d = new Database();  // NOLINT(tabbench-naked-new)
+  TableDef t;
+  t.name = "t";
+  t.columns = {{"a", TypeId::kInt, "d1", true, 8},
+               {"b", TypeId::kInt, "d2", true, 8},
+               {"c", TypeId::kString, "d3", true, 12}};
+  t.primary_key = {"a"};
+  (void)d->CreateTable(t);
+  Rng rng(4);
+  for (int64_t i = 0; i < 20000; ++i) {
+    (void)d->Insert(
+        "t", Tuple({Value(i), Value(static_cast<int64_t>(rng.Uniform(100))),
+                    Value("s" + std::to_string(rng.Uniform(500)))}));
+  }
+  (void)d->FinishLoad();
+  return d;
+}
+
 /// Shared small database for the end-to-end benchmarks.
 Database* SharedDb() {
+  static Database* db = MakeSmallDb();
+  return db;
+}
+
+/// The small database with a single-column index on t.c, for the
+/// index-only IN-set scan.
+Database* IndexedDb() {
   static Database* db = [] {
-    // Deliberately leaked: function-local static shared by all benchmarks,
-    // alive until process exit (destruction order vs. benchmark teardown
-    // is unspecified). NOLINT(tabbench-naked-new)
-    auto* d = new Database();  // NOLINT(tabbench-naked-new)
-    TableDef t;
-    t.name = "t";
-    t.columns = {{"a", TypeId::kInt, "d1", true, 8},
-                 {"b", TypeId::kInt, "d2", true, 8},
-                 {"c", TypeId::kString, "d3", true, 12}};
-    t.primary_key = {"a"};
-    (void)d->CreateTable(t);
-    Rng rng(4);
-    for (int64_t i = 0; i < 20000; ++i) {
-      (void)d->Insert(
-          "t", Tuple({Value(i), Value(static_cast<int64_t>(rng.Uniform(100))),
-                      Value("s" + std::to_string(rng.Uniform(500)))}));
-    }
-    (void)d->FinishLoad();
+    Database* d = MakeSmallDb();
+    Configuration config;
+    config.name = "ix_c";
+    config.indexes.push_back({"ix_c", "t", {"c"}, false});
+    (void)d->ApplyConfiguration(config);
     return d;
   }();
   return db;
 }
+
+/// One `c IN (SELECT c FROM t GROUP BY c HAVING COUNT(*) < 40)` set
+/// (~40 rows per value, so about half the values qualify). A miss scans
+/// and counts all 20 000 rows; a hit replays the memoized scan's charges
+/// without decoding or hashing a row. range(0): 0 = heap scan, 1 =
+/// index-only scan of ix_c.
+void BM_MaterializeInSet(benchmark::State& state, bool hit) {
+  Database* db = IndexedDb();
+  InSetSpec spec;
+  spec.table = "t";
+  spec.column = "c";
+  spec.column_pos = 2;
+  spec.cmp = '<';
+  spec.k = 40;
+  if (state.range(0) == 1) spec.index_name = "ix_c";
+  InSetMemo* memo = spec.index_name.empty()
+                        ? db->FindHeap("t")->in_set_memo()
+                        : db->FindIndex("ix_c")->btree->in_set_memo();
+  BufferPool pool(db->options().buffer_pool_pages);
+  for (auto _ : state) {
+    if (!hit) memo->Clear();
+    ExecContext ctx = db->MakeSessionContext(&pool, db->options().cost);
+    Result<InSet> set = MaterializeInSet(spec, *db, &ctx);
+    if (!set.ok()) state.SkipWithError(set.status().message().c_str());
+    benchmark::DoNotOptimize(set);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(db->TableRowCount("t")));
+}
+BENCHMARK_CAPTURE(BM_MaterializeInSet, miss, false)
+    ->ArgName("index_only")
+    ->Arg(0)
+    ->Arg(1);
+BENCHMARK_CAPTURE(BM_MaterializeInSet, hit, true)
+    ->ArgName("index_only")
+    ->Arg(0)
+    ->Arg(1);
 
 void BM_ParseBindPlan(benchmark::State& state) {
   Database* db = SharedDb();

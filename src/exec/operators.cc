@@ -2,6 +2,8 @@
 
 #include <cassert>
 
+#include "storage/in_set_memo.h"
+#include "util/fault_injection.h"
 #include "util/strings.h"
 
 namespace tabbench {
@@ -74,7 +76,7 @@ Result<std::vector<CompiledPred>> CompilePreds(const PlanNode& node,
         if (p.in_set < 0 || p.in_set >= static_cast<int>(in_sets.size())) {
           return Status::Internal("residual IN-set index out of range");
         }
-        cp.in_set = &in_sets[static_cast<size_t>(p.in_set)];
+        cp.in_set = in_sets[static_cast<size_t>(p.in_set)].get();
         break;
     }
     out.push_back(std::move(cp));
@@ -492,25 +494,43 @@ class ProjectOp : public Operator {
 
 // ---------------------------------------------------------------- helpers
 
-Result<std::unordered_set<Value, ValueHash>> MaterializeInSet(
-    const InSetSpec& spec, const ObjectResolver& resolver, ExecContext* ctx) {
-  std::unordered_map<Value, uint64_t, ValueHash> counts;
+namespace {
+
+/// The work a frequency scan charges per row it counts.
+Status ChargeCountedRow(ExecContext* ctx) {
+  ctx->ChargeTuples(1);
+  ctx->ChargeHashOps(1);
+  return ctx->CheckTimeout();
+}
+
+/// Re-applies a memoized scan's charges: the calls the live scan made, in
+/// the order it made them.
+Status ReplayScanShape(const std::vector<ScanStep>& shape, ExecContext* ctx) {
+  for (const ScanStep& step : shape) {
+    ctx->TouchPage(step.page);
+    for (uint64_t r = 0; r < step.rows; ++r) {
+      TB_RETURN_IF_ERROR(ChargeCountedRow(ctx));
+    }
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
+Result<InSet> MaterializeInSet(const InSetSpec& spec,
+                               const ObjectResolver& resolver,
+                               ExecContext* ctx) {
+  const BTree* tree = nullptr;
+  const HeapTable* heap = nullptr;
+  InSetMemoKey key{/*column=*/0, spec.cmp, spec.k};
   if (!spec.index_name.empty()) {
     const IndexInfo* idx = resolver.FindIndex(spec.index_name);
     if (idx == nullptr) {
       return Status::NotFound("IN-set index " + spec.index_name);
     }
-    auto iter = idx->btree->ScanAll([ctx](PageId id) { ctx->TouchPage(id); });
-    IndexKey key;
-    Rid rid;
-    while (iter.Next(&key, &rid)) {
-      ctx->ChargeTuples(1);
-      ctx->ChargeHashOps(1);
-      TB_RETURN_IF_ERROR(ctx->CheckTimeout());
-      counts[key[0]] += 1;
-    }
+    tree = idx->btree;  // counts the leading key column
   } else {
-    const HeapTable* heap = resolver.FindHeap(spec.table);
+    heap = resolver.FindHeap(spec.table);
     if (heap == nullptr) {
       return Status::NotFound("IN-set table " + spec.table);
     }
@@ -518,25 +538,73 @@ Result<std::unordered_set<Value, ValueHash>> MaterializeInSet(
       return Status::Internal("IN-set spec missing column position for " +
                               spec.table + "." + spec.column);
     }
-    size_t pos = static_cast<size_t>(spec.column_pos);
-    auto cursor = heap->Scan([ctx](PageId id) { ctx->TouchPage(id); });
+    key.column = spec.column_pos;
+  }
+  InSetMemo* memo = tree != nullptr ? tree->in_set_memo() : heap->in_set_memo();
+  const bool use_memo = !FaultInjectionArmed();
+  if (use_memo) {
+    if (auto hit = memo->Find(key)) {
+      TB_RETURN_IF_ERROR(ReplayScanShape(hit->shape, ctx));
+      return InSet(hit, &hit->values);
+    }
+  }
+
+  auto entry = std::make_shared<InSetMemoEntry>();
+  std::vector<ScanStep>& shape = entry->shape;
+  auto touch = [ctx, &shape](PageId id) {
+    ctx->TouchPage(id);
+    shape.push_back({id, 0});
+  };
+  // Both scans touch a page before yielding any row on it, so every counted
+  // row lands on shape.back().
+  std::unordered_map<Value, uint64_t, ValueHash> counts;
+  if (tree != nullptr) {
+    auto iter = tree->ScanAll(touch);
+    IndexKey k;
+    Rid rid;
+    while (iter.Next(&k, &rid)) {
+      TB_RETURN_IF_ERROR(ChargeCountedRow(ctx));
+      ++shape.back().rows;
+      counts[k[0]] += 1;
+    }
+  } else {
+    const size_t pos = static_cast<size_t>(key.column);
+    auto cursor = heap->Scan(touch);
     Tuple t;
     while (cursor.Next(&t, nullptr)) {
-      ctx->ChargeTuples(1);
-      ctx->ChargeHashOps(1);
-      TB_RETURN_IF_ERROR(ctx->CheckTimeout());
+      TB_RETURN_IF_ERROR(ChargeCountedRow(ctx));
+      ++shape.back().rows;
       counts[t.at(pos)] += 1;
     }
   }
-  std::unordered_set<Value, ValueHash> out;
   // Order-insensitive: fills another unordered set (membership probes
   // only), so hash-iteration order never reaches any ordered output.
   for (const auto& [v, c] : counts) {  // NOLINT(tabbench-unordered-iter)
     bool keep = (spec.cmp == '<') ? (c < static_cast<uint64_t>(spec.k))
                                   : (c == static_cast<uint64_t>(spec.k));
-    if (keep && !v.is_null()) out.insert(v);
+    if (keep && !v.is_null()) entry->values.insert(v);
   }
-  return out;
+  if (use_memo) memo->Store(key, entry);
+  return InSet(entry, &entry->values);
+}
+
+Result<std::optional<QueryResult>> MaterializeInSets(
+    const PhysicalPlan& plan, const ObjectResolver& resolver, ExecContext* ctx,
+    InSets* in_sets) {
+  for (const auto& spec : plan.in_sets) {
+    auto set = MaterializeInSet(spec, resolver, ctx);
+    if (!set.ok()) {
+      if (!set.status().IsTimeout()) return set.status();
+      QueryResult timed_out;
+      timed_out.timed_out = true;
+      timed_out.sim_seconds = ctx->params().timeout_seconds;
+      timed_out.pages_read = ctx->pages_read();
+      timed_out.tuples_processed = ctx->tuples_processed();
+      return std::optional<QueryResult>(std::move(timed_out));
+    }
+    in_sets->push_back(set.TakeValue());
+  }
+  return std::optional<QueryResult>();
 }
 
 Result<std::unique_ptr<Operator>> BuildOperator(const PlanNode& node,

@@ -2,6 +2,7 @@
 #define TABBENCH_EXEC_OPERATORS_H_
 
 #include <memory>
+#include <optional>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -54,8 +55,12 @@ struct CompiledPred {
   bool Eval(const Tuple& t) const;
 };
 
+/// One materialized IN-subquery value set. Shared and immutable: a memo
+/// hit hands out the set the memo holds (storage/in_set_memo.h).
+using InSet = std::shared_ptr<const std::unordered_set<Value, ValueHash>>;
+
 /// Materialized IN-subquery value sets, one per PhysicalPlan::in_sets entry.
-using InSets = std::vector<std::unordered_set<Value, ValueHash>>;
+using InSets = std::vector<InSet>;
 
 /// Compiles a node's residual predicates against its output slot layout.
 /// Shared between the Volcano operators and the vectorized pipeline
@@ -66,8 +71,27 @@ Result<std::vector<CompiledPred>> CompilePreds(const PlanNode& node,
 /// Builds the value set for one InSetSpec by a frequency scan of the
 /// subquery table (index-only when the spec names an index). Charges all
 /// work to `ctx`; respects the timeout.
-Result<std::unordered_set<Value, ValueHash>> MaterializeInSet(
-    const InSetSpec& spec, const ObjectResolver& resolver, ExecContext* ctx);
+///
+/// Completed scans are memoized on the scanned object with their access
+/// shape (storage/in_set_memo.h). A memo hit replays that shape through
+/// `ctx` -- TouchPage per page, then ChargeTuples(1), ChargeHashOps(1) and
+/// CheckTimeout() per row, the calls a live scan makes, in its order --
+/// without decoding or hashing a row. Every charge, pool touch, recorded
+/// trace event, timeout trip point and cancellation poll is therefore the
+/// live scan's. A scan that fails (timeout, cancellation, record budget)
+/// stores nothing. While any fault point is armed the memo is bypassed, so
+/// fault schedules see every storage hit of a live scan.
+Result<InSet> MaterializeInSet(const InSetSpec& spec,
+                               const ObjectResolver& resolver,
+                               ExecContext* ctx);
+
+/// The IN-set prelude both executors run before building their operators:
+/// materializes every spec of `plan`, in order, into *in_sets. Returns the
+/// query's timed-out result when a scan trips the timeout, nullopt when
+/// every set is ready, and any other failure as an error.
+Result<std::optional<QueryResult>> MaterializeInSets(
+    const PhysicalPlan& plan, const ObjectResolver& resolver, ExecContext* ctx,
+    InSets* in_sets);
 
 /// Pairs each plan node with its instantiated operator, so actual row
 /// counts can be written back after execution (EXPLAIN ANALYZE).

@@ -1,6 +1,7 @@
 #include "exec/plan_executor.h"
 
 #include <algorithm>
+#include <optional>
 
 #include "exec/operators.h"
 
@@ -37,14 +38,10 @@ Result<QueryResult> ExecutePlanImpl(const PhysicalPlan& plan,
   // Materialize the IN-subquery value sets first (they are real query work
   // and can themselves hit the timeout).
   InSets in_sets;
-  for (const auto& spec : plan.in_sets) {
-    auto set = MaterializeInSet(spec, resolver, ctx);
-    if (!set.ok()) {
-      if (set.status().IsTimeout()) return finish(/*timed_out=*/true);
-      return set.status();
-    }
-    in_sets.push_back(set.TakeValue());
-  }
+  std::optional<QueryResult> timed_out;
+  TB_ASSIGN_OR_RETURN(timed_out,
+                      MaterializeInSets(plan, resolver, ctx, &in_sets));
+  if (timed_out) return *timed_out;
 
   std::unique_ptr<Operator> root;
   TB_ASSIGN_OR_RETURN(

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <optional>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -738,21 +739,10 @@ Result<QueryResult> ExecutePlanVectorized(const PhysicalPlan& plan,
   // IN-subquery sets are real query work, charged live to ctx exactly as
   // the Volcano driver charges them (exec/plan_executor.cc).
   InSets in_sets;
-  for (const auto& spec : plan.in_sets) {
-    auto set = MaterializeInSet(spec, resolver, ctx);
-    if (!set.ok()) {
-      if (set.status().IsTimeout()) {
-        QueryResult result;
-        result.timed_out = true;
-        result.sim_seconds = ctx->params().timeout_seconds;
-        result.pages_read = ctx->pages_read();
-        result.tuples_processed = ctx->tuples_processed();
-        return result;
-      }
-      return set.status();
-    }
-    in_sets.push_back(set.TakeValue());
-  }
+  std::optional<QueryResult> timed_out;
+  TB_ASSIGN_OR_RETURN(timed_out,
+                      MaterializeInSets(plan, resolver, ctx, &in_sets));
+  if (timed_out) return *timed_out;
 
   VecPlan vplan;
   TB_ASSIGN_OR_RETURN(vplan, CompileVecPlan(plan, resolver, in_sets));

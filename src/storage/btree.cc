@@ -98,6 +98,9 @@ Status BTree::InsertLocked(const IndexKey& key, const Rid& rid,
                            const PageTouchFn& touch) {
   assert(key.size() == num_key_columns_);
   TB_FAULT_POINT("storage.btree_insert");
+  // Cleared before the first structural change, so even a write that a
+  // later fault point cuts short leaves no stale entry behind.
+  in_set_memo_.Clear();
   IndexKey split_key;
   std::unique_ptr<Node> split_node;
   TB_RETURN_IF_ERROR(
@@ -188,6 +191,7 @@ Status BTree::DeleteLocked(const IndexKey& key, const Rid& rid,
                            const PageTouchFn& touch) {
   assert(key.size() == num_key_columns_);
   TB_FAULT_POINT("storage.btree_delete");
+  in_set_memo_.Clear();  // before DeleteRec, as in InsertLocked
   bool found = false;
   TB_RETURN_IF_ERROR(DeleteRec(root_.get(), key, rid, touch, &found));
   if (!found) {
@@ -554,6 +558,7 @@ void BTree::Drop() {
 }
 
 void BTree::DropLocked() {
+  in_set_memo_.Clear();
   // Free pages via a post-order traversal.
   if (root_ == nullptr) return;
   std::vector<Node*> stack{root_.get()};

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "storage/heap_table.h"
+#include "storage/in_set_memo.h"
 #include "storage/page_store.h"
 #include "types/value.h"
 #include "util/mutex.h"
@@ -130,6 +131,10 @@ class BTree {
   /// Frees all node pages.
   void Drop() TB_EXCLUDES(mu_);
 
+  /// IN-set materializations over this tree's full scan (index-only
+  /// path); cleared by every write (Insert/Delete/Update/BulkBuild/Drop).
+  InSetMemo* in_set_memo() const { return &in_set_memo_; }
+
  private:
   struct Node;
 
@@ -188,6 +193,8 @@ class BTree {
   mutable uint64_t cached_distinct_ TB_GUARDED_BY(cache_mu_) = 0;
   mutable uint64_t cached_clustering_ TB_GUARDED_BY(cache_mu_) = 0;
   mutable bool cache_valid_ TB_GUARDED_BY(cache_mu_) = false;
+  /// Internally synchronized (storage/in_set_memo.h).
+  mutable InSetMemo in_set_memo_;
 };
 
 }  // namespace tabbench

@@ -21,6 +21,7 @@ HeapTable::HeapTable(std::string name, TupleCodec codec, PageStore* store)
     : name_(std::move(name)), codec_(std::move(codec)), store_(store) {}
 
 Rid HeapTable::Append(const Tuple& t) {
+  in_set_memo_.Clear();
   std::vector<uint8_t> rec;
   codec_.Encode(t, &rec);
   assert(rec.size() + 2 <= kPageSize && "record larger than a page");
@@ -69,6 +70,7 @@ Status HeapTable::Delete(const Rid& rid, const PageTouchFn& touch) {
   if (IsDeleted(rid.page_ordinal, rid.slot)) {
     return Status::NotFound("row already deleted in " + name_);
   }
+  in_set_memo_.Clear();
   if (deleted_.size() <= rid.page_ordinal) deleted_.resize(pages_.size());
   auto& bitmap = deleted_[rid.page_ordinal];
   if (bitmap.size() <= rid.slot) bitmap.resize(page->num_slots, 0);
@@ -142,6 +144,7 @@ bool HeapTable::Cursor::Next(Tuple* t, Rid* rid) {
 }
 
 void HeapTable::Drop() {
+  in_set_memo_.Clear();
   for (PageId pid : pages_) store_->Free(pid);
   pages_.clear();
   deleted_.clear();

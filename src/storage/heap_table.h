@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "storage/in_set_memo.h"
 #include "storage/page_store.h"
 #include "storage/tuple_codec.h"
 #include "types/tuple.h"
@@ -95,6 +96,10 @@ class HeapTable {
   /// Frees all pages (dropping a materialized view).
   void Drop();
 
+  /// IN-set materializations over this table's scan; cleared by every
+  /// write (Append/Insert/Delete/Drop).
+  InSetMemo* in_set_memo() const { return &in_set_memo_; }
+
  private:
   bool IsDeleted(size_t page_ordinal, size_t slot) const;
 
@@ -108,6 +113,7 @@ class HeapTable {
   uint64_t num_rows_ = 0;
   uint64_t num_deleted_ = 0;
   uint64_t total_bytes_ = 0;
+  mutable InSetMemo in_set_memo_;
 };
 
 }  // namespace tabbench

@@ -582,5 +582,61 @@ TEST_F(KillResumeChaosTest, SigkilledRunUnderFaultsAndRetriesResumesExact) {
   std::remove(path.c_str());
 }
 
+// ------------------------------------------------------- IN-set memo bypass
+
+TEST(InSetMemoChaosTest, ArmedFaultPointsSeeEveryScanHitOfAMemoizedInSet) {
+  // A memo hit would skip the IN-set scan's storage.heap_scan hits; fault
+  // schedules count those hits, so armed runs bypass the memo and a warm
+  // memo leaves every hit count exactly as a cold one does.
+  FaultGuard guard;
+  testing::TinyDb tiny = testing::TinyDb::Make(20000, 50);
+  Database* db = tiny.db.get();
+  const std::string sql =
+      "SELECT COUNT(*) FROM people p WHERE p.city IN "
+      "(SELECT city FROM people GROUP BY city HAVING COUNT(*) < 20)";
+  auto plan = db->Plan(sql);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  ASSERT_EQ(plan->in_sets.size(), 1u);
+  const InSetSpec& spec = plan->in_sets.front();
+  ASSERT_TRUE(spec.index_name.empty());
+  const InSetMemo* memo = testing::InSetMemoOf(*db, spec);
+  const InSetMemoKey key = testing::InSetMemoKeyOf(spec);
+
+  struct Armed {
+    uint64_t hits = 0;
+    QueryResult result;
+  };
+  auto armed_run = [&] {
+    // Never fires: the schedule only counts.
+    EXPECT_TRUE(FaultRegistry::Global()
+                    .Arm(Spec("storage.heap_scan", Status::Code::kUnavailable,
+                              FaultSpec::Trigger::kNth, uint64_t{1} << 40))
+                    .ok());
+    Armed out;
+    BufferPool pool(64);
+    ExecContext ctx = db->MakeSessionContext(&pool, db->options().cost);
+    auto r = db->RunWithContext(sql, &ctx);
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    if (r.ok()) out.result = *r;
+    out.hits = FaultRegistry::Global().stats("storage.heap_scan").hits;
+    FaultRegistry::Global().DisarmAll();
+    return out;
+  };
+
+  ASSERT_TRUE(db->Run(sql).ok());  // unarmed: fills the memo
+  ASSERT_NE(memo->Find(key), nullptr);
+  const Armed warm = armed_run();
+
+  testing::ClearInSetMemos(*db, *plan);
+  const Armed cold = armed_run();
+  EXPECT_EQ(memo->Find(key), nullptr);  // armed runs store nothing either
+
+  EXPECT_GT(cold.hits, 0u);
+  EXPECT_EQ(warm.hits, cold.hits);
+  EXPECT_EQ(warm.result.sim_seconds, cold.result.sim_seconds);
+  EXPECT_EQ(warm.result.pages_read, cold.result.pages_read);
+  EXPECT_EQ(warm.result.tuples_processed, cold.result.tuples_processed);
+}
+
 }  // namespace
 }  // namespace tabbench

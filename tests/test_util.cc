@@ -76,6 +76,21 @@ std::unique_ptr<Database> MakeMiniNref(double scale_inverse, uint64_t seed) {
   return db.TakeValue();
 }
 
+InSetMemo* InSetMemoOf(const Database& db, const InSetSpec& spec) {
+  return spec.index_name.empty()
+             ? db.FindHeap(spec.table)->in_set_memo()
+             : db.FindIndex(spec.index_name)->btree->in_set_memo();
+}
+
+InSetMemoKey InSetMemoKeyOf(const InSetSpec& spec) {
+  // The index-only scan counts the index's leading key column.
+  return {spec.index_name.empty() ? spec.column_pos : 0, spec.cmp, spec.k};
+}
+
+void ClearInSetMemos(const Database& db, const PhysicalPlan& plan) {
+  for (const InSetSpec& spec : plan.in_sets) InSetMemoOf(db, spec)->Clear();
+}
+
 std::unique_ptr<Database> MakeMiniTpch(double scale_inverse, double zipf_theta,
                                        uint64_t seed) {
   TpchScaleOptions opts;

@@ -44,6 +44,15 @@ struct TinyDb {
 std::unique_ptr<Database> MakeMiniNref(double scale_inverse = 4000.0,
                                        uint64_t seed = 2005);
 
+/// The memo of the storage object an IN-set spec scans, and the key its
+/// materialization is stored under.
+InSetMemo* InSetMemoOf(const Database& db, const InSetSpec& spec);
+InSetMemoKey InSetMemoKeyOf(const InSetSpec& spec);
+
+/// Empties the IN-set memo of every storage object `plan`'s IN-sets scan,
+/// so the next execution of the plan materializes them from a cold memo.
+void ClearInSetMemos(const Database& db, const PhysicalPlan& plan);
+
 /// A miniature TPC-H database for integration tests.
 std::unique_ptr<Database> MakeMiniTpch(double scale_inverse = 4000.0,
                                        double zipf_theta = 0.0,

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <ostream>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/configurations.h"
@@ -133,6 +135,11 @@ struct GoldenCase {
   const char* name;
   bool tpch;
 };
+
+// Without this, gtest prints the struct's raw bytes (a pointer plus
+// padding), so the listed test names change from one build or run to the
+// next.
+void PrintTo(const GoldenCase& c, std::ostream* os) { *os << c.name; }
 
 class VecGoldenTest : public ::testing::TestWithParam<GoldenCase> {};
 
@@ -329,6 +336,77 @@ TEST(VecExecTest, EmptyTableScanAndScalarAggregate) {
     ASSERT_TRUE(vec.ok()) << q;
     EXPECT_EQ(volcano->sim_seconds, vec->sim_seconds) << q;
     EXPECT_EQ(Rows(*volcano), Rows(*vec)) << q;
+  }
+}
+
+// ------------------------------------------------------ IN-set memo fills
+
+TEST(VecExecTest, ConcurrentSessionsFillAColdInSetMemoIdentically) {
+  // Sessions share storage, so their IN-set materializations race to fill
+  // the same memo entries. Each session must see exactly what a serial,
+  // memo-cold run sees, whichever thread stores first and whether its
+  // IN-sets are scanned or replayed, through either engine.
+  std::unique_ptr<Database> db = testing::MakeMiniNref(4000.0);
+  ASSERT_NE(db, nullptr);
+  QueryFamily family = GenerateNref2J(db->catalog(), db->stats());
+  auto sampled = SampleFamily(family, db.get(), 8, /*seed=*/7);
+  ASSERT_TRUE(sampled.ok()) << sampled.status().ToString();
+  std::string sql;
+  PhysicalPlan plan;
+  for (const std::string& q : sampled->Sql()) {
+    auto p = db->Plan(q);
+    ASSERT_TRUE(p.ok()) << p.status().ToString();
+    if (!p->in_sets.empty()) {
+      sql = q;
+      plan = p.TakeValue();
+      break;
+    }
+  }
+  ASSERT_FALSE(sql.empty()) << "no sampled NREF2J query has an IN-set";
+
+  const CostParams cost = db->options().cost;
+  const size_t pool_pages = db->options().buffer_pool_pages;
+  struct Session {
+    Result<QueryResult> result = Status::Internal("not run");
+    BufferPoolStats pool;
+  };
+  auto run = [&](bool vectorized) {
+    Session s;
+    BufferPool pool(pool_pages);
+    ExecContext ctx = db->MakeSessionContext(&pool, cost);
+    s.result = vectorized
+                   ? db->RunWithContextVectorized(sql, &ctx, vec::VecExecOptions{})
+                   : db->RunWithContext(sql, &ctx);
+    s.pool = pool.stats();
+    return s;
+  };
+
+  testing::ClearInSetMemos(*db, plan);
+  const Session reference = run(/*vectorized=*/false);
+  ASSERT_TRUE(reference.result.ok()) << reference.result.status().ToString();
+
+  testing::ClearInSetMemos(*db, plan);
+  constexpr size_t kSessions = 4;
+  std::vector<Session> sessions(kSessions);
+  std::vector<std::thread> threads;
+  for (size_t i = 0; i < kSessions; ++i) {
+    threads.emplace_back(
+        [&, i] { sessions[i] = run(/*vectorized=*/i % 2 == 1); });
+  }
+  for (auto& t : threads) t.join();
+
+  for (size_t i = 0; i < kSessions; ++i) {
+    SCOPED_TRACE(i);
+    const Session& s = sessions[i];
+    ASSERT_TRUE(s.result.ok()) << s.result.status().ToString();
+    EXPECT_EQ(s.result->sim_seconds, reference.result->sim_seconds);
+    EXPECT_EQ(s.result->pages_read, reference.result->pages_read);
+    EXPECT_EQ(s.result->tuples_processed, reference.result->tuples_processed);
+    EXPECT_EQ(s.result->timed_out, reference.result->timed_out);
+    EXPECT_EQ(Rows(*s.result), Rows(*reference.result));
+    EXPECT_EQ(s.pool.hits, reference.pool.hits);
+    EXPECT_EQ(s.pool.misses, reference.pool.misses);
+    EXPECT_EQ(s.pool.resident, reference.pool.resident);
   }
 }
 
