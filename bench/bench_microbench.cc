@@ -1,8 +1,9 @@
 // google-benchmark microbenchmarks of the engine's hot paths: B+-tree
-// probes and inserts, tuple codec, buffer-pool bookkeeping, IN-set
-// materialization (memo miss vs hit), and end-to-end planning/execution on
-// a small database. These guard the wall-clock cost
-// of the simulation itself (the figure benches run hundreds of queries).
+// probes, probe walks and inserts, heap fetch by slot, the timeout check,
+// tuple codec, buffer-pool bookkeeping, IN-set materialization (memo miss
+// vs hit), and end-to-end planning/execution on a small database. These
+// guard the wall-clock cost of the simulation itself (the figure benches
+// run hundreds of queries).
 
 #include <benchmark/benchmark.h>
 
@@ -16,6 +17,7 @@
 #include "sql/binder.h"
 #include "storage/btree.h"
 #include "storage/buffer_pool.h"
+#include "storage/heap_table.h"
 #include "storage/tuple_codec.h"
 #include "util/rng.h"
 
@@ -51,13 +53,94 @@ void BM_BTreeSeek(benchmark::State& state) {
     IndexKey key{Value(static_cast<int64_t>(rng.Uniform(
         static_cast<uint64_t>(n))))};
     auto it = tree.SeekPrefix(key, nullptr);
-    IndexKey k;
+    const IndexKey* k = nullptr;
     Rid r;
     benchmark::DoNotOptimize(it.Next(&k, &r));
   }
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_BTreeSeek)->Arg(1000)->Arg(100000)->Arg(1000000);
+
+/// A SeekPrefix followed by a walk of every matching entry: the inner
+/// side of an index nested-loop join. range(0) entries share each key;
+/// the walk reads each key through the iterator's pointer, copying none.
+void BM_BTreeProbeIterate(benchmark::State& state) {
+  PageStore store;
+  BTree tree("ix", 2, 16, &store);
+  const int64_t dups = state.range(0);
+  constexpr int64_t kKeys = 1000;
+  std::vector<std::pair<IndexKey, Rid>> entries;
+  for (int64_t k = 0; k < kKeys; ++k) {
+    for (int64_t d = 0; d < dups; ++d) {
+      entries.emplace_back(IndexKey{Value(k), Value(d)},
+                           Rid{static_cast<uint32_t>(k * dups + d), 0});
+    }
+  }
+  tree.BulkBuild(std::move(entries));
+  Rng rng(5);
+  int64_t walked = 0;
+  for (auto _ : state) {
+    IndexKey prefix{Value(static_cast<int64_t>(
+        rng.Uniform(static_cast<uint64_t>(kKeys))))};
+    auto it = tree.SeekPrefix(prefix, nullptr);
+    const IndexKey* k = nullptr;
+    Rid r;
+    int64_t sum = 0;
+    while (it.Next(&k, &r)) {
+      sum += (*k)[1].as_int();
+      ++walked;
+    }
+    benchmark::DoNotOptimize(sum);
+  }
+  state.SetItemsProcessed(walked);
+}
+BENCHMARK(BM_BTreeProbeIterate)->ArgName("dups")->Arg(1)->Arg(16)->Arg(128);
+
+/// HeapTable::Fetch of the first vs the last slot of full pages. The slot
+/// directory makes both O(1), so the two read the same; a fetch that
+/// walked the records before its slot would make last_slot the slow one.
+void BM_HeapFetch(benchmark::State& state, bool last_slot) {
+  PageStore store;
+  HeapTable heap("t",
+                 TupleCodec({TypeId::kInt, TypeId::kInt, TypeId::kString}),
+                 &store);
+  std::vector<std::vector<Rid>> by_page;
+  for (int64_t i = 0; i < 20000; ++i) {
+    Rid rid = heap.Append(Tuple({Value(i), Value(i % 100),
+                                 Value("s" + std::to_string(i % 500))}));
+    if (rid.page_ordinal >= by_page.size()) by_page.emplace_back();
+    by_page[rid.page_ordinal].push_back(rid);
+  }
+  by_page.pop_back();  // the tail page is not full
+  std::vector<Rid> rids;
+  for (const auto& page : by_page) {
+    rids.push_back(last_slot ? page.back() : page.front());
+  }
+  size_t i = 0;
+  for (auto _ : state) {
+    Result<Tuple> t = heap.Fetch(rids[i], nullptr);
+    if (!t.ok()) state.SkipWithError(t.status().message().c_str());
+    benchmark::DoNotOptimize(t);
+    i = (i + 1) % rids.size();
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK_CAPTURE(BM_HeapFetch, first_slot, false);
+BENCHMARK_CAPTURE(BM_HeapFetch, last_slot, true);
+
+/// ExecContext::CheckTimeout on a live, untraced context: the check every
+/// operator makes per row.
+void BM_CheckTimeout(benchmark::State& state) {
+  PageStore store;
+  BufferPool pool(16);
+  ExecContext ctx(&store, &pool, CostParams{});
+  for (auto _ : state) {
+    Status s = ctx.CheckTimeout();
+    benchmark::DoNotOptimize(s);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_CheckTimeout);
 
 void BM_TupleCodecRoundTrip(benchmark::State& state) {
   TupleCodec codec({TypeId::kInt, TypeId::kInt, TypeId::kString,

@@ -8,17 +8,52 @@
 
 namespace tabbench {
 
-bool CompiledPred::Eval(const Tuple& t) const {
-  switch (kind) {
+namespace {
+
+/// The one predicate program; `at(pos)` yields the row's value at `pos`.
+template <typename At>
+bool EvalAt(const CompiledPred& p, const At& at) {
+  switch (p.kind) {
     case ResidualPred::Kind::kColEqLit:
-      return t.at(static_cast<size_t>(pos_a)) == literal;
+      return at(p.pos_a) == p.literal;
     case ResidualPred::Kind::kColEqCol:
-      return t.at(static_cast<size_t>(pos_a)) ==
-             t.at(static_cast<size_t>(pos_b));
+      return at(p.pos_a) == at(p.pos_b);
     case ResidualPred::Kind::kInSet:
-      return in_set->count(t.at(static_cast<size_t>(pos_a))) > 0;
+      return p.in_set->count(at(p.pos_a)) > 0;
   }
   return false;
+}
+
+}  // namespace
+
+bool CompiledPred::Eval(const Tuple& t) const {
+  return EvalAt(*this, [&t](int pos) -> const Value& {
+    return t.at(static_cast<size_t>(pos));
+  });
+}
+
+bool CompiledPred::EvalJoined(const std::vector<Value>& left,
+                              const std::vector<Value>& right) const {
+  return EvalAt(*this, [&left, &right](int pos) -> const Value& {
+    const size_t i = static_cast<size_t>(pos);
+    return i < left.size() ? left[i] : right[i - left.size()];
+  });
+}
+
+bool EvalPreds(const std::vector<CompiledPred>& preds, const Tuple& t) {
+  for (const auto& p : preds) {
+    if (!p.Eval(t)) return false;
+  }
+  return true;
+}
+
+bool EvalPredsJoined(const std::vector<CompiledPred>& preds,
+                     const std::vector<Value>& left,
+                     const std::vector<Value>& right) {
+  for (const auto& p : preds) {
+    if (!p.EvalJoined(left, right)) return false;
+  }
+  return true;
 }
 
 namespace {
@@ -86,13 +121,6 @@ Result<std::vector<CompiledPred>> CompilePreds(const PlanNode& node,
 
 namespace {
 
-bool EvalPreds(const std::vector<CompiledPred>& preds, const Tuple& t) {
-  for (const auto& p : preds) {
-    if (!p.Eval(t)) return false;
-  }
-  return true;
-}
-
 // ---------------------------------------------------------------- SeqScan
 
 class SeqScanOp : public Operator {
@@ -153,14 +181,14 @@ class IndexScanOp : public Operator {
   }
 
   Result<bool> NextImpl(Tuple* out) override {
-    IndexKey key;
+    const IndexKey* key = nullptr;
     Rid rid;
     while (iter_.Next(&key, &rid)) {
       ctx_->ChargeTuples(1);
       TB_RETURN_IF_ERROR(ctx_->CheckTimeout());
       Tuple t;
       if (index_only_) {
-        t = Tuple(std::move(key));
+        t = Tuple(*key);
       } else {
         auto fetched = index_->heap->Fetch(
             rid, [this](PageId id) { ctx_->TouchPageRandom(id); });
@@ -219,12 +247,12 @@ class HashJoinOp : public Operator {
   Result<bool> NextImpl(Tuple* out) override {
     for (;;) {
       if (match_list_ != nullptr && match_idx_ < match_list_->size()) {
-        Tuple joined = Tuple::Concat((*match_list_)[match_idx_], probe_row_);
+        const Tuple& build_row = (*match_list_)[match_idx_];
         ++match_idx_;
         ctx_->ChargeTuples(1);
         TB_RETURN_IF_ERROR(ctx_->CheckTimeout());
-        if (EvalPreds(preds_, joined)) {
-          *out = std::move(joined);
+        if (EvalPredsJoined(preds_, build_row.values(), probe_row_.values())) {
+          *out = Tuple::Concat(build_row, probe_row_);
           return true;
         }
         continue;
@@ -297,24 +325,24 @@ class IndexNLJoinOp : public Operator {
   Result<bool> NextImpl(Tuple* out) override {
     for (;;) {
       if (have_iter_) {
-        IndexKey key;
+        const IndexKey* key = nullptr;
         Rid rid;
         while (iter_.Next(&key, &rid)) {
           ctx_->ChargeTuples(1);
           TB_RETURN_IF_ERROR(ctx_->CheckTimeout());
-          Tuple inner_row;
-          if (inner_index_only_) {
-            inner_row = Tuple(std::move(key));
-          } else {
+          // Index-only: the leaf key itself is the inner row.
+          const std::vector<Value>* inner = key;
+          Tuple fetched_row;
+          if (!inner_index_only_) {
             auto fetched = inner_->heap->Fetch(
                 rid, [this](PageId id) { ctx_->TouchPageRandom(id); });
             if (!fetched.ok()) return fetched.status();
             ctx_->ChargeTuples(1);
-            inner_row = fetched.TakeValue();
+            fetched_row = fetched.TakeValue();
+            inner = &fetched_row.values();
           }
-          Tuple joined = Tuple::Concat(outer_row_, inner_row);
-          if (EvalPreds(preds_, joined)) {
-            *out = std::move(joined);
+          if (EvalPredsJoined(preds_, outer_row_.values(), *inner)) {
+            *out = Tuple::Concat(outer_row_.values(), *inner);
             return true;
           }
         }
@@ -560,12 +588,12 @@ Result<InSet> MaterializeInSet(const InSetSpec& spec,
   std::unordered_map<Value, uint64_t, ValueHash> counts;
   if (tree != nullptr) {
     auto iter = tree->ScanAll(touch);
-    IndexKey k;
+    const IndexKey* k = nullptr;
     Rid rid;
     while (iter.Next(&k, &rid)) {
       TB_RETURN_IF_ERROR(ChargeCountedRow(ctx));
       ++shape.back().rows;
-      counts[k[0]] += 1;
+      counts[(*k)[0]] += 1;
     }
   } else {
     const size_t pos = static_cast<size_t>(key.column);

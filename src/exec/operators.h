@@ -53,6 +53,12 @@ struct CompiledPred {
   const std::unordered_set<Value, ValueHash>* in_set = nullptr;
 
   bool Eval(const Tuple& t) const;
+
+  /// Eval(Tuple::Concat(left, right)) without building the joined row: a
+  /// joined-layout position p reads left[p], or right[p - left.size()]
+  /// past the left side.
+  bool EvalJoined(const std::vector<Value>& left,
+                  const std::vector<Value>& right) const;
 };
 
 /// One materialized IN-subquery value set. Shared and immutable: a memo
@@ -67,6 +73,15 @@ using InSets = std::vector<InSet>;
 /// compiler so both executors evaluate identical predicate programs.
 Result<std::vector<CompiledPred>> CompilePreds(const PlanNode& node,
                                                const InSets& in_sets);
+
+/// True iff `t` satisfies every predicate of `preds`.
+bool EvalPreds(const std::vector<CompiledPred>& preds, const Tuple& t);
+
+/// EvalPreds on Tuple::Concat(left, right), without building it: joins
+/// filter the (outer, inner) pair and concatenate only the rows that pass.
+bool EvalPredsJoined(const std::vector<CompiledPred>& preds,
+                     const std::vector<Value>& left,
+                     const std::vector<Value>& right);
 
 /// Builds the value set for one InSetSpec by a frequency scan of the
 /// subquery table (index-only when the spec names an index). Charges all

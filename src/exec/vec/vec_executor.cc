@@ -73,13 +73,6 @@ void DecodePageIntoBatch(const Page* page, ColumnBatch* batch) {
   }
 }
 
-bool EvalPreds(const std::vector<CompiledPred>& preds, const Tuple& t) {
-  for (const auto& p : preds) {
-    if (!p.Eval(t)) return false;
-  }
-  return true;
-}
-
 /// Meaning of one kSinkSentinel in a fragment, in fragment order. The
 /// sentinel stands for a charge block that depends on cross-morsel
 /// sequential state (spill byte counters, first-occurrence inserts) and is
@@ -368,14 +361,14 @@ class VecExecutor {
                   [wctx](PageId id) { wctx->TouchPage(id); })
             : p.index->btree->SeekPrefix(
                   p.prefix, [wctx](PageId id) { wctx->TouchPageRandom(id); });
-    IndexKey key;
+    const IndexKey* key = nullptr;
     Rid rid;
     while (iter.Next(&key, &rid)) {
       wctx->ChargeTuples(1);
       TB_RETURN_IF_ERROR(wctx->CheckTimeout());
       Tuple t;
       if (p.index_only) {
-        t = Tuple(std::move(key));
+        t = Tuple(*key);
       } else {
         auto fetched = p.index->heap->Fetch(
             rid, [wctx](PageId id) { wctx->TouchPageRandom(id); });
@@ -418,11 +411,13 @@ class VecExecutor {
       auto it = jt.parts[part].find(key);
       if (it == jt.parts[part].end()) return Status::OK();
       for (uint32_t ord : it->second) {
-        Tuple joined = Tuple::Concat(jt.rows[ord], t);
+        const Tuple& build_row = jt.rows[ord];
         m->wctx->ChargeTuples(1);
         TB_RETURN_IF_ERROR(m->wctx->CheckTimeout());
-        if (!EvalPreds(st.preds, joined)) continue;
-        TB_RETURN_IF_ERROR(ProcessRow(std::move(joined), si + 1, m));
+        if (!EvalPredsJoined(st.preds, build_row.values(), t.values())) {
+          continue;
+        }
+        TB_RETURN_IF_ERROR(ProcessRow(Tuple::Concat(build_row, t), si + 1, m));
       }
       return Status::OK();
     }
@@ -442,24 +437,25 @@ class VecExecutor {
     ExecContext* wctx = m->wctx;
     BTree::Iterator iter = st.index->btree->SeekPrefix(
         prefix, [wctx](PageId id) { wctx->TouchPageRandom(id); });
-    IndexKey key;
+    const IndexKey* key = nullptr;
     Rid rid;
     while (iter.Next(&key, &rid)) {
       wctx->ChargeTuples(1);
       TB_RETURN_IF_ERROR(wctx->CheckTimeout());
-      Tuple inner_row;
-      if (st.index_only) {
-        inner_row = Tuple(std::move(key));
-      } else {
+      // Index-only: the leaf key itself is the inner row.
+      const std::vector<Value>* inner = key;
+      Tuple fetched_row;
+      if (!st.index_only) {
         auto fetched = st.index->heap->Fetch(
             rid, [wctx](PageId id) { wctx->TouchPageRandom(id); });
         if (!fetched.ok()) return fetched.status();
         wctx->ChargeTuples(1);
-        inner_row = fetched.TakeValue();
+        fetched_row = fetched.TakeValue();
+        inner = &fetched_row.values();
       }
-      Tuple joined = Tuple::Concat(t, inner_row);
-      if (!EvalPreds(st.preds, joined)) continue;
-      TB_RETURN_IF_ERROR(ProcessRow(std::move(joined), si + 1, m));
+      if (!EvalPredsJoined(st.preds, t.values(), *inner)) continue;
+      TB_RETURN_IF_ERROR(
+          ProcessRow(Tuple::Concat(t.values(), *inner), si + 1, m));
     }
     return Status::OK();
   }

@@ -421,7 +421,7 @@ BTree::Iterator BTree::ScanAll(const PageTouchFn& touch) const {
   return it;
 }
 
-bool BTree::Iterator::Next(IndexKey* key, Rid* rid) {
+bool BTree::Iterator::Next(const IndexKey** key, Rid* rid) {
   const Node* leaf = static_cast<const Node*>(leaf_);
   for (;;) {
     if (leaf == nullptr) return false;
@@ -439,7 +439,7 @@ bool BTree::Iterator::Next(IndexKey* key, Rid* rid) {
           continue;
         }
       }
-      *key = k;
+      *key = &k;
       *rid = leaf->rids[idx_];
       ++idx_;
       return true;

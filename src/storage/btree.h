@@ -82,8 +82,11 @@ class BTree {
   /// the whole tree (full index scan, for index-only plans).
   class Iterator {
    public:
-    /// Advances; false at end. On true sets *key and *rid.
-    bool Next(IndexKey* key, Rid* rid);
+    /// Advances; false at end. On true sets *rid, and *key to the entry's
+    /// key inside its leaf: valid until the next call to Next or the next
+    /// write to the tree, whichever comes first. Dereference it to keep a
+    /// copy.
+    bool Next(const IndexKey** key, Rid* rid);
 
    private:
     friend class BTree;

@@ -27,10 +27,13 @@ Rid HeapTable::Append(const Tuple& t) {
   assert(rec.size() + 2 <= kPageSize && "record larger than a page");
   if (pages_.empty() ||
       store_->GetPage(pages_.back())->used + rec.size() + 2 > kPageSize) {
+    if (!slots_.empty()) slots_.back().shrink_to_fit();  // page is full
     pages_.push_back(store_->Allocate());
+    slots_.emplace_back();
   }
   Page* page = store_->GetPage(pages_.back());
   uint32_t slot = page->num_slots;
+  slots_.back().push_back(static_cast<uint16_t>(page->used));
   PutRecord(page, rec);
   ++num_rows_;
   total_bytes_ += rec.size();
@@ -94,13 +97,8 @@ Result<Tuple> HeapTable::Fetch(const Rid& rid, const PageTouchFn& touch) const {
   if (rid.slot >= page->num_slots) {
     return Status::NotFound("rid slot out of range in " + name_);
   }
-  size_t off = 0;
-  for (uint32_t s = 0; s < rid.slot; ++s) {
-    uint16_t len;
-    std::memcpy(&len, page->data + off, 2);
-    off += 2 + len;
-  }
-  off += 2;  // skip the record's own length header
+  // Skip the record's own length header.
+  size_t off = slots_[rid.page_ordinal][rid.slot] + 2u;
   return codec_.Decode(page->data, &off);
 }
 
@@ -147,6 +145,7 @@ void HeapTable::Drop() {
   in_set_memo_.Clear();
   for (PageId pid : pages_) store_->Free(pid);
   pages_.clear();
+  slots_.clear();
   deleted_.clear();
   num_rows_ = 0;
   num_deleted_ = 0;

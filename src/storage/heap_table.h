@@ -34,7 +34,10 @@ using PageTouchFn = std::function<void(PageId)>;
 
 /// An append-only heap table: rows encoded back-to-back on 8 KiB pages.
 /// Record format on a page: [uint16 length][TupleCodec bytes] repeated;
-/// Page::used is the fill offset and Page::num_slots the record count.
+/// Page::used is the fill offset and Page::num_slots the record count. A
+/// slot directory kept in memory beside the pages (not in them) maps each
+/// slot to its record's offset, so Fetch decodes a row without walking the
+/// records before it.
 /// Deletes are tombstones (a per-page slot bitmap in the table header, the
 /// slotted-page "dead" bit): the record bytes stay where they are, scans and
 /// fetches skip them, and an UPDATE is modeled as delete + re-append — which
@@ -107,6 +110,11 @@ class HeapTable {
   TupleCodec codec_;
   PageStore* store_;
   std::vector<PageId> pages_;
+  /// Slot directory, parallel to pages_: the byte offset of each record's
+  /// length header on its page. In-memory metadata beside the page (like
+  /// deleted_), not page bytes, so page fill and simulated I/O are what the
+  /// back-to-back record format alone gives; it makes Fetch O(1) in the slot.
+  std::vector<std::vector<uint16_t>> slots_;
   /// Tombstone bitmap, parallel to pages_; a page's vector is sized lazily
   /// on its first delete, so insert-only tables pay nothing.
   std::vector<std::vector<uint8_t>> deleted_;

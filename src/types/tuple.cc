@@ -2,11 +2,12 @@
 
 namespace tabbench {
 
-Tuple Tuple::Concat(const Tuple& a, const Tuple& b) {
+Tuple Tuple::Concat(const std::vector<Value>& a,
+                    const std::vector<Value>& b) {
   std::vector<Value> out;
   out.reserve(a.size() + b.size());
-  for (const auto& v : a.values()) out.push_back(v);
-  for (const auto& v : b.values()) out.push_back(v);
+  out.insert(out.end(), a.begin(), a.end());
+  out.insert(out.end(), b.begin(), b.end());
   return Tuple(std::move(out));
 }
 

@@ -22,7 +22,11 @@ class Tuple {
   void Append(Value v) { values_.push_back(std::move(v)); }
 
   /// Concatenation of two tuples (join output).
-  static Tuple Concat(const Tuple& a, const Tuple& b);
+  static Tuple Concat(const Tuple& a, const Tuple& b) {
+    return Concat(a.values(), b.values());
+  }
+  static Tuple Concat(const std::vector<Value>& a,
+                      const std::vector<Value>& b);
 
   /// Projection onto the given column positions.
   Tuple Project(const std::vector<size_t>& cols) const;

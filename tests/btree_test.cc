@@ -37,7 +37,7 @@ TEST(BTreeTest, EmptyTreeScans) {
   PageStore store;
   BTree tree("ix", 1, 8, &store);
   auto it = tree.ScanAll(nullptr);
-  IndexKey k;
+  const IndexKey* k = nullptr;
   Rid r;
   EXPECT_FALSE(it.Next(&k, &r));
   EXPECT_EQ(tree.num_entries(), 0u);
@@ -55,12 +55,12 @@ TEST(BTreeTest, InsertAndScanSorted) {
   }
   std::sort(keys.begin(), keys.end());
   auto it = tree.ScanAll(nullptr);
-  IndexKey k;
+  const IndexKey* k = nullptr;
   Rid r;
   size_t i = 0;
   while (it.Next(&k, &r)) {
     ASSERT_LT(i, keys.size());
-    EXPECT_EQ(k[0].as_int(), keys[i]);
+    EXPECT_EQ((*k)[0].as_int(), keys[i]);
     ++i;
   }
   EXPECT_EQ(i, keys.size());
@@ -80,11 +80,11 @@ TEST(BTreeTest, SeekPrefixFindsAllDuplicates) {
   }
   for (int64_t v : {1, 13, 37, 60}) {
     auto it = tree.SeekPrefix(IKey(v), nullptr);
-    IndexKey k;
+    const IndexKey* k = nullptr;
     Rid r;
     int64_t count = 0;
     while (it.Next(&k, &r)) {
-      EXPECT_EQ(k[0].as_int(), v);
+      EXPECT_EQ((*k)[0].as_int(), v);
       ++count;
     }
     EXPECT_EQ(count, v);
@@ -98,7 +98,7 @@ TEST(BTreeTest, SeekPrefixMissingKeyYieldsNothing) {
     ASSERT_TRUE(tree.Insert(IKey(v), Rid{0, static_cast<uint32_t>(v)}, nullptr).ok());
   }
   auto it = tree.SeekPrefix(IKey(51), nullptr);
-  IndexKey k;
+  const IndexKey* k = nullptr;
   Rid r;
   EXPECT_FALSE(it.Next(&k, &r));
 }
@@ -116,12 +116,12 @@ TEST(BTreeTest, CompositePrefixSeek) {
   }
   // Seek on the leading column only: all 10 b-values for a=17.
   auto it = tree.SeekPrefix(IKey(17), nullptr);
-  IndexKey k;
+  const IndexKey* k = nullptr;
   Rid r;
   int64_t expected_b = 0;
   while (it.Next(&k, &r)) {
-    EXPECT_EQ(k[0].as_int(), 17);
-    EXPECT_EQ(k[1].as_int(), expected_b++);
+    EXPECT_EQ((*k)[0].as_int(), 17);
+    EXPECT_EQ((*k)[1].as_int(), expected_b++);
   }
   EXPECT_EQ(expected_b, 10);
   // Full-key seek: exactly one entry.
@@ -155,14 +155,15 @@ TEST(BTreeTest, BulkBuildMatchesInserts) {
 
   auto bi = bulk.ScanAll(nullptr);
   auto ii = incr.ScanAll(nullptr);
-  IndexKey bk, ik;
+  const IndexKey* bk = nullptr;
+  const IndexKey* ik = nullptr;
   Rid br, ir;
   while (true) {
     bool bmore = bi.Next(&bk, &br);
     bool imore = ii.Next(&ik, &ir);
     ASSERT_EQ(bmore, imore);
     if (!bmore) break;
-    EXPECT_EQ(CompareKeys(bk, ik), 0);
+    EXPECT_EQ(CompareKeys(*bk, *ik), 0);
   }
 }
 
@@ -230,7 +231,7 @@ TEST(BTreeTest, TouchReportsDescentPages) {
   tree.BulkBuild(std::move(entries));
   size_t touched = 0;
   auto it = tree.SeekPrefix(IKey(54321), [&](PageId) { ++touched; });
-  IndexKey k;
+  const IndexKey* k = nullptr;
   Rid r;
   ASSERT_TRUE(it.Next(&k, &r));
   EXPECT_EQ(touched, tree.height());
@@ -256,10 +257,10 @@ TEST(BTreeTest, StringKeys) {
                     .ok());
   }
   auto it = tree.SeekPrefix({Value(std::string("key500"))}, nullptr);
-  IndexKey k;
+  const IndexKey* k = nullptr;
   Rid r;
   ASSERT_TRUE(it.Next(&k, &r));
-  EXPECT_EQ(k[0].as_string(), "key500");
+  EXPECT_EQ((*k)[0].as_string(), "key500");
   EXPECT_EQ(r.page_ordinal, 500u);
   EXPECT_FALSE(it.Next(&k, &r));
 }
@@ -281,14 +282,14 @@ TEST_P(BTreeSizeSweep, OrderedAndComplete) {
   }
   // Scan is sorted and complete.
   auto it = tree.ScanAll(nullptr);
-  IndexKey k;
+  const IndexKey* k = nullptr;
   Rid r;
   int64_t prev = -1;
   size_t total = 0;
   std::map<int64_t, int> seen;
   while (it.Next(&k, &r)) {
-    EXPECT_GE(k[0].as_int(), prev);
-    prev = k[0].as_int();
+    EXPECT_GE((*k)[0].as_int(), prev);
+    prev = (*k)[0].as_int();
     seen[prev]++;
     ++total;
   }
@@ -311,7 +312,7 @@ TEST(BTreeMutationTest, DeleteRemovesExactRidAmongDuplicates) {
   ASSERT_TRUE(tree.Delete(IKey(7), Rid{23, 0}, nullptr).ok());
   EXPECT_EQ(tree.num_entries(), 49u);
   auto it = tree.SeekPrefix(IKey(7), nullptr);
-  IndexKey k;
+  const IndexKey* k = nullptr;
   Rid r;
   while (it.Next(&k, &r)) EXPECT_NE(r.page_ordinal, 23u);
 }
@@ -349,7 +350,7 @@ TEST(BTreeMutationTest, DeleteEverythingShrinksTreeToEmpty) {
   EXPECT_EQ(tree.height(), 1u);
   EXPECT_LT(tree.num_pages(), full_pages);
   auto it = tree.ScanAll(nullptr);
-  IndexKey k;
+  const IndexKey* k = nullptr;
   Rid r;
   EXPECT_FALSE(it.Next(&k, &r));
 }
@@ -377,13 +378,13 @@ TEST(BTreeMutationTest, InterleavedInsertDeleteStaysConsistent) {
   }
   EXPECT_EQ(tree.num_entries(), expected.size());
   auto it = tree.ScanAll(nullptr);
-  IndexKey k;
+  const IndexKey* k = nullptr;
   Rid r;
   std::multimap<int64_t, uint32_t> seen;
   int64_t prev = INT64_MIN;
   while (it.Next(&k, &r)) {
-    EXPECT_GE(k[0].as_int(), prev);
-    prev = k[0].as_int();
+    EXPECT_GE((*k)[0].as_int(), prev);
+    prev = (*k)[0].as_int();
     seen.emplace(prev, r.page_ordinal);
   }
   EXPECT_EQ(seen, expected);
@@ -399,7 +400,7 @@ TEST(BTreeMutationTest, UpdateMovesEntry) {
                           nullptr)
                   .ok());
   EXPECT_EQ(tree.num_entries(), 1000u);
-  IndexKey k;
+  const IndexKey* k = nullptr;
   Rid r;
   auto gone = tree.SeekPrefix(IKey(500), nullptr);
   EXPECT_FALSE(gone.Next(&k, &r));
@@ -439,14 +440,15 @@ TEST(BTreeMutationTest, FingerprintTracksContentNotHistory) {
   // equality is what ScanAll says.
   auto ai = a.ScanAll(nullptr);
   auto bi = b.ScanAll(nullptr);
-  IndexKey ak, bk;
+  const IndexKey* ak = nullptr;
+  const IndexKey* bk = nullptr;
   Rid ar, br;
   while (true) {
     bool am = ai.Next(&ak, &ar);
     bool bm = bi.Next(&bk, &br);
     ASSERT_EQ(am, bm);
     if (!am) break;
-    EXPECT_EQ(CompareKeys(ak, bk), 0);
+    EXPECT_EQ(CompareKeys(*ak, *bk), 0);
   }
 }
 

@@ -5,9 +5,12 @@
 #include <algorithm>
 #include <map>
 #include <set>
+#include <unordered_set>
+#include <vector>
 
 #include "core/configurations.h"
 #include "engine/database.h"
+#include "exec/operators.h"
 #include "test_util.h"
 
 namespace tabbench {
@@ -268,6 +271,101 @@ TEST(ExecSpillTest, LargeAggregateChargesSpillIo) {
   double spilled = run_with_workmem(2);
   double in_memory = run_with_workmem(100000);
   EXPECT_GT(spilled, in_memory * 1.2);
+}
+
+// ------------------------------------------------- joined-row predicates
+
+/// Every (left, right) split of a 5-column joined row (int, string, int,
+/// string, int), over per-type value pools with NULLs: a predicate read on
+/// the pair must agree with the same predicate read on the concatenated
+/// row, wherever its positions fall relative to the boundary.
+TEST(CompiledPredTest, EvalJoinedMatchesEvalOnTheConcatenatedRow) {
+  constexpr size_t kWidth = 5;
+  auto is_string_col = [](size_t c) { return c % 2 == 1; };
+  const std::vector<Value> ints = {Value(), Value(int64_t{1}),
+                                   Value(int64_t{2})};
+  const std::vector<Value> strings = {Value(), Value(std::string("a")),
+                                      Value(std::string("b"))};
+  const std::unordered_set<Value, ValueHash> int_set = {Value(int64_t{2})};
+  const std::unordered_set<Value, ValueHash> string_set = {
+      Value(std::string("a"))};
+  // Joined rows: every combination of the pools (3^5 rows).
+  std::vector<std::vector<Value>> rows(1);
+  for (size_t c = 0; c < kWidth; ++c) {
+    std::vector<std::vector<Value>> next;
+    for (const auto& prefix : rows) {
+      for (const Value& v : is_string_col(c) ? strings : ints) {
+        next.push_back(prefix);
+        next.back().push_back(v);
+      }
+    }
+    rows = std::move(next);
+  }
+  ASSERT_EQ(rows.size(), 243u);
+  std::vector<CompiledPred> preds;
+  for (size_t a = 0; a < kWidth; ++a) {
+    for (const Value& lit : is_string_col(a) ? strings : ints) {
+      CompiledPred p;
+      p.kind = ResidualPred::Kind::kColEqLit;
+      p.pos_a = static_cast<int>(a);
+      p.literal = lit;
+      preds.push_back(p);
+    }
+    CompiledPred in;
+    in.kind = ResidualPred::Kind::kInSet;
+    in.pos_a = static_cast<int>(a);
+    in.in_set = is_string_col(a) ? &string_set : &int_set;
+    preds.push_back(in);
+    for (size_t b = 0; b < kWidth; ++b) {
+      if (is_string_col(a) != is_string_col(b)) continue;
+      CompiledPred eq;
+      eq.kind = ResidualPred::Kind::kColEqCol;
+      eq.pos_a = static_cast<int>(a);
+      eq.pos_b = static_cast<int>(b);
+      preds.push_back(eq);
+    }
+  }
+  size_t true_on_both_sides = 0;
+  for (size_t split = 0; split <= kWidth; ++split) {
+    for (const auto& row : rows) {
+      const std::vector<Value> left(row.begin(), row.begin() + split);
+      const std::vector<Value> right(row.begin() + split, row.end());
+      const Tuple joined = Tuple::Concat(left, right);
+      for (const CompiledPred& p : preds) {
+        const bool want = p.Eval(joined);
+        ASSERT_EQ(p.EvalJoined(left, right), want)
+            << "kind " << static_cast<int>(p.kind) << " pos " << p.pos_a
+            << "/" << p.pos_b << " split " << split << " row "
+            << joined.ToString();
+        if (want && p.kind == ResidualPred::Kind::kColEqCol &&
+            (p.pos_a < static_cast<int>(split)) !=
+                (p.pos_b < static_cast<int>(split))) {
+          ++true_on_both_sides;
+        }
+      }
+    }
+  }
+  // Cross-boundary equalities did hold on some rows (not all-false).
+  EXPECT_GT(true_on_both_sides, 0u);
+
+  // EvalPredsJoined is the conjunction, over the same split.
+  const std::vector<Value> left = {Value(int64_t{2}), Value(std::string("a"))};
+  const std::vector<Value> right = {Value(), Value(std::string("a")),
+                                    Value(int64_t{2})};
+  std::vector<CompiledPred> conj(2);
+  conj[0].kind = ResidualPred::Kind::kColEqCol;
+  conj[0].pos_a = 1;
+  conj[0].pos_b = 3;
+  conj[1].kind = ResidualPred::Kind::kInSet;
+  conj[1].pos_a = 4;
+  conj[1].in_set = &int_set;
+  EXPECT_TRUE(EvalPredsJoined(conj, left, right));
+  EXPECT_EQ(EvalPredsJoined(conj, left, right),
+            EvalPreds(conj, Tuple::Concat(left, right)));
+  conj[1].pos_a = 2;  // NULL is never in an IN-set
+  EXPECT_FALSE(EvalPredsJoined(conj, left, right));
+  EXPECT_EQ(EvalPredsJoined(conj, left, right),
+            EvalPreds(conj, Tuple::Concat(left, right)));
 }
 
 }  // namespace

@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "storage/buffer_pool.h"
 #include "storage/heap_table.h"
 #include "storage/page_store.h"
@@ -380,6 +385,165 @@ TEST(HeapTableTest, DropFreesPages) {
   heap.Drop();
   EXPECT_EQ(store.allocated_pages(), 0u);
   EXPECT_EQ(heap.num_rows(), 0u);
+}
+
+// ------------------------------------------------ HeapTable slot directory
+
+/// A row whose encoded length varies with `i` (0..299 payload bytes), so
+/// pages hold different slot counts and no record sits at a fixed offset.
+Tuple VarRow(int64_t i) {
+  return Tuple({Value(i), Value(std::string(static_cast<size_t>(i * 37 % 300),
+                                            static_cast<char>('a' + i % 26))),
+                Value(-i)});
+}
+
+TupleCodec VarCodec() {
+  return TupleCodec({TypeId::kInt, TypeId::kString, TypeId::kInt});
+}
+
+/// Appends VarRow(first_id) .. VarRow(first_id + n - 1); returns each
+/// page's rids, in slot order.
+std::vector<std::vector<Rid>> AppendVarRows(HeapTable* heap, int64_t first_id,
+                                            int64_t n) {
+  std::vector<std::vector<Rid>> by_page;
+  for (int64_t i = first_id; i < first_id + n; ++i) {
+    Rid rid = heap->Append(VarRow(i));
+    if (rid.page_ordinal >= by_page.size()) by_page.resize(rid.page_ordinal + 1);
+    EXPECT_EQ(rid.slot, by_page[rid.page_ordinal].size());
+    by_page[rid.page_ordinal].push_back(rid);
+  }
+  return by_page;
+}
+
+/// The row id the i-th appended row (first_id-based) carries in column 0.
+int64_t RowIdAt(const std::vector<std::vector<Rid>>& by_page, int64_t first_id,
+                const Rid& rid) {
+  int64_t before = 0;
+  for (uint32_t p = 0; p < rid.page_ordinal; ++p) {
+    before += static_cast<int64_t>(by_page[p].size());
+  }
+  return first_id + before + rid.slot;
+}
+
+/// Fetches the first, middle and last slot of every page; each must decode
+/// to exactly the row appended there (or be NotFound when tombstoned).
+void ExpectEdgeSlotsDecode(const HeapTable& heap,
+                           const std::vector<std::vector<Rid>>& by_page,
+                           int64_t first_id) {
+  for (const auto& page : by_page) {
+    ASSERT_FALSE(page.empty());
+    for (size_t s : {size_t{0}, page.size() / 2, page.size() - 1}) {
+      const Rid& rid = page[s];
+      SCOPED_TRACE(::testing::Message() << "page " << rid.page_ordinal
+                                      << " slot " << rid.slot);
+      auto fetched = heap.Fetch(rid, nullptr);
+      if (!heap.IsLive(rid)) {
+        EXPECT_TRUE(fetched.status().IsNotFound());
+        continue;
+      }
+      ASSERT_TRUE(fetched.ok()) << fetched.status().ToString();
+      EXPECT_EQ(*fetched, VarRow(RowIdAt(by_page, first_id, rid)));
+    }
+  }
+}
+
+TEST(HeapSlotDirectoryTest, FetchesEdgeSlotsOfEveryPage) {
+  PageStore store;
+  HeapTable heap("t", VarCodec(), &store);
+  auto by_page = AppendVarRows(&heap, 0, 2000);
+  ASSERT_GT(by_page.size(), 20u);
+  // Variable-length rows: pages hold different slot counts.
+  std::set<size_t> slot_counts;
+  for (const auto& page : by_page) slot_counts.insert(page.size());
+  EXPECT_GT(slot_counts.size(), 1u);
+  ExpectEdgeSlotsDecode(heap, by_page, 0);
+  // Fetch touches exactly the addressed page, once.
+  const Rid last = by_page.back().back();
+  std::vector<PageId> touched;
+  ASSERT_TRUE(heap.Fetch(last, [&](PageId id) { touched.push_back(id); }).ok());
+  EXPECT_EQ(touched, std::vector<PageId>{heap.pages()[last.page_ordinal]});
+}
+
+TEST(HeapSlotDirectoryTest, TombstonedSlotsAreNotFoundAndNeighboursDecode) {
+  PageStore store;
+  HeapTable heap("t", VarCodec(), &store);
+  auto by_page = AppendVarRows(&heap, 0, 2000);
+  // Tombstone the last slot of even pages, the middle slot of odd pages,
+  // and every 7th row.
+  std::set<std::pair<uint32_t, uint32_t>> dead;
+  for (size_t p = 0; p < by_page.size(); ++p) {
+    const auto& page = by_page[p];
+    dead.insert({static_cast<uint32_t>(p),
+                 static_cast<uint32_t>(p % 2 == 0 ? page.size() - 1
+                                                  : page.size() / 2)});
+    for (size_t s = 0; s < page.size(); ++s) {
+      if (RowIdAt(by_page, 0, page[s]) % 7 == 0) {
+        dead.insert({static_cast<uint32_t>(p), static_cast<uint32_t>(s)});
+      }
+    }
+  }
+  for (const auto& [p, s] : dead) TB_ASSERT_OK(heap.Delete(Rid{p, s}, nullptr));
+  EXPECT_EQ(heap.num_deleted(), dead.size());
+
+  for (const auto& [p, s] : dead) {
+    SCOPED_TRACE(::testing::Message() << "page " << p << " slot " << s);
+    EXPECT_TRUE(heap.Fetch(Rid{p, s}, nullptr).status().IsNotFound());
+    // Both neighbours on the page still decode (or are dead themselves).
+    for (int64_t d : {-1, 1}) {
+      const int64_t n = static_cast<int64_t>(s) + d;
+      if (n < 0 || n >= static_cast<int64_t>(by_page[p].size())) continue;
+      const Rid nb{p, static_cast<uint32_t>(n)};
+      auto fetched = heap.Fetch(nb, nullptr);
+      if (dead.count({p, nb.slot}) != 0) {
+        EXPECT_TRUE(fetched.status().IsNotFound());
+      } else {
+        ASSERT_TRUE(fetched.ok()) << fetched.status().ToString();
+        EXPECT_EQ(*fetched, VarRow(RowIdAt(by_page, 0, nb)));
+      }
+    }
+  }
+  ExpectEdgeSlotsDecode(heap, by_page, 0);
+}
+
+TEST(HeapSlotDirectoryTest, DropThenReAppendRebuildsTheDirectory) {
+  PageStore store;
+  HeapTable heap("t", VarCodec(), &store);
+  auto old_pages = AppendVarRows(&heap, 0, 2000);
+  TB_ASSERT_OK(heap.Delete(old_pages[0][0], nullptr));
+  heap.Drop();
+  EXPECT_EQ(heap.num_pages(), 0u);
+  EXPECT_TRUE(heap.Fetch(Rid{0, 0}, nullptr).status().IsNotFound());
+  // Shifted ids give every page a different slot layout than before.
+  auto by_page = AppendVarRows(&heap, 13, 900);
+  EXPECT_LT(by_page.size(), old_pages.size());
+  EXPECT_EQ(heap.num_deleted(), 0u);
+  ExpectEdgeSlotsDecode(heap, by_page, 13);
+  // Pages past the new tail are gone.
+  EXPECT_TRUE(heap.Fetch(Rid{static_cast<uint32_t>(by_page.size()), 0}, nullptr)
+                  .status()
+                  .IsNotFound());
+}
+
+TEST(HeapSlotDirectoryTest, SlotPastAPartlyFilledTailPageIsNotFound) {
+  PageStore store;
+  HeapTable heap("t", VarCodec(), &store);
+  auto by_page = AppendVarRows(&heap, 0, 1000);
+  // Append until a fresh tail page opens, then one row more: the tail page
+  // holds two rows and has room for many.
+  int64_t next = 1000;
+  while (heap.Append(VarRow(next++)).page_ordinal < by_page.size()) {
+  }
+  heap.Append(VarRow(next++));
+  const uint32_t last = static_cast<uint32_t>(heap.num_pages() - 1);
+  const uint32_t tail_slots = 2;
+  ASSERT_EQ(last, by_page.size());
+  EXPECT_TRUE(heap.Fetch(Rid{last, tail_slots - 1}, nullptr).ok());
+  EXPECT_TRUE(heap.Fetch(Rid{last, tail_slots}, nullptr).status().IsNotFound());
+  EXPECT_TRUE(
+      heap.Fetch(Rid{last, tail_slots + 100}, nullptr).status().IsNotFound());
+  // A full page's slot count is out of range there too.
+  const uint32_t full_slots = static_cast<uint32_t>(by_page[0].size());
+  EXPECT_TRUE(heap.Fetch(Rid{0, full_slots}, nullptr).status().IsNotFound());
 }
 
 }  // namespace

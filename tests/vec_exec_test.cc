@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <memory>
 #include <ostream>
 #include <set>
@@ -12,6 +14,7 @@
 #include "core/runner.h"
 #include "core/sampling.h"
 #include "core/tpch_families.h"
+#include "exec/plan_executor.h"
 #include "exec/vec/vec_executor.h"
 #include "test_util.h"
 #include "util/fault_injection.h"
@@ -408,6 +411,186 @@ TEST(VecExecTest, ConcurrentSessionsFillAColdInSetMemoIdentically) {
     EXPECT_EQ(s.pool.misses, reference.pool.misses);
     EXPECT_EQ(s.pool.resident, reference.pool.resident);
   }
+}
+
+// ------------------------------------------- join residuals on the pair
+
+/// NREF2J's shape (PAPER.md S6: a join, an IN-subquery per side, GROUP BY,
+/// COUNT) with a second join equality (ordinal = p_id) that the joins
+/// below evaluate as a residual across the join boundary.
+constexpr char kJoinResidualSql[] =
+    "SELECT r.name, COUNT(*) FROM organism r, source s "
+    "WHERE r.taxon_id = s.taxon_id AND r.ordinal = s.p_id "
+    "AND r.taxon_id IN (SELECT taxon_id FROM organism GROUP BY taxon_id "
+    "HAVING COUNT(*) < 4) "
+    "AND s.taxon_id IN (SELECT taxon_id FROM source GROUP BY taxon_id "
+    "HAVING COUNT(*) < 4) GROUP BY r.name";
+
+std::vector<Tuple> HeapRows(const Database& db, const std::string& table) {
+  std::vector<Tuple> rows;
+  auto cur = db.FindHeap(table)->Scan(nullptr);
+  Tuple t;
+  while (cur.Next(&t, nullptr)) rows.push_back(t);
+  return rows;
+}
+
+/// kJoinResidualSql evaluated by nested loops over raw heap rows, sharing
+/// no code with the planner or the operators.
+std::multiset<std::string> ReferenceJoinResidualRows(const Database& db) {
+  const std::vector<Tuple> organism = HeapRows(db, "organism");
+  const std::vector<Tuple> source = HeapRows(db, "source");
+  constexpr size_t kOrgOrdinal = 1, kOrgTaxon = 2, kOrgName = 3,
+                   kSrcPid = 1, kSrcTaxon = 2;
+  auto rare = [](const std::vector<Tuple>& rows, size_t col) {
+    std::map<std::string, std::pair<Value, int>> counts;
+    for (const auto& r : rows) {
+      auto& [v, n] = counts[r.at(col).ToString()];
+      v = r.at(col);
+      ++n;
+    }
+    std::vector<Value> out;
+    for (const auto& [k, vn] : counts) {
+      if (vn.second < 4 && !vn.first.is_null()) out.push_back(vn.first);
+    }
+    return out;
+  };
+  auto in = [](const std::vector<Value>& set, const Value& v) {
+    return std::find(set.begin(), set.end(), v) != set.end();
+  };
+  const std::vector<Value> org_set = rare(organism, kOrgTaxon);
+  const std::vector<Value> src_set = rare(source, kSrcTaxon);
+  std::map<std::string, std::pair<Value, int64_t>> groups;
+  for (const auto& r : organism) {
+    if (!in(org_set, r.at(kOrgTaxon))) continue;
+    for (const auto& s : source) {
+      if (!in(src_set, s.at(kSrcTaxon))) continue;
+      if (r.at(kOrgTaxon) == s.at(kSrcTaxon) &&
+          r.at(kOrgOrdinal) == s.at(kSrcPid)) {
+        auto& [v, n] = groups[r.at(kOrgName).ToString()];
+        v = r.at(kOrgName);
+        ++n;
+      }
+    }
+  }
+  std::multiset<std::string> out;
+  for (const auto& [k, vn] : groups) {
+    out.insert(Tuple({vn.first, Value(vn.second)}).ToString());
+  }
+  return out;
+}
+
+PlanNode* FindNode(PlanNode* node, PlanNode::Kind kind) {
+  if (node->kind == kind) return node;
+  for (auto& c : node->children) {
+    if (PlanNode* hit = FindNode(c.get(), kind)) return hit;
+  }
+  return nullptr;
+}
+
+/// Residual column equalities whose sides come from different join inputs.
+size_t CrossResiduals(const PlanNode& join) {
+  const int left_width =
+      static_cast<int>(join.children[0]->output_cols.size());
+  size_t n = 0;
+  for (const auto& p : join.residual) {
+    if (p.kind != ResidualPred::Kind::kColEqCol) continue;
+    if ((join.FindSlot(p.a) < left_width) != (join.FindSlot(p.b) < left_width)) {
+      ++n;
+    }
+  }
+  return n;
+}
+
+TEST(VecExecTest, JoinResidualsMatchTheReferenceOnEveryJoinOperator) {
+  // Hash join, and index nested-loop join with a fetched and with an
+  // index-only inner, each evaluating an outer-vs-inner residual on the
+  // (outer, inner) pair: both engines must give the reference answer with
+  // identical simulated costs.
+  std::unique_ptr<Database> db = testing::MakeMiniNref(4000.0);
+  ASSERT_NE(db, nullptr);
+  const std::multiset<std::string> want = ReferenceJoinResidualRows(*db);
+  // The answer the executors gave before joins filtered the pair, when
+  // every inner row was concatenated first.
+  const std::multiset<std::string> before = {
+      "('name_00000', 1)", "('name_00001', 2)", "('name_00002', 1)",
+      "('name_00008', 2)", "('name_00009', 1)", "('name_00013', 2)",
+      "('name_00114', 1)", "('name_00117', 2)", "('name_00118', 1)"};
+  ASSERT_EQ(want, before);
+
+  // Simulated costs are pinned to what the executors charged before,
+  // too: filtering the pair moves no charge.
+  struct Case {
+    const char* name;
+    std::vector<IndexDef> indexes;
+    PlanNode::Kind join;
+    bool index_only;
+    double sim_seconds;
+    uint64_t pages_read;
+    uint64_t tuples_processed;
+  };
+  const std::vector<Case> cases = {
+      {"hash_join", {}, PlanNode::Kind::kHashJoin, false,
+       0x1.8ce075f6fd4f1p+2, 9, 2148},
+      {"inlj_fetched",
+       {{"ix_s_taxon", "source", {"taxon_id"}, false}},
+       PlanNode::Kind::kIndexNLJoin, false,
+       0x1.0bc01a36e2ea1p+2, 12, 2215},
+      {"inlj_index_only",
+       {{"ix_s_taxon_acc_pid", "source", {"taxon_id", "accession", "p_id"},
+         false}},
+       PlanNode::Kind::kIndexNLJoin, true,
+       0x1.3b2fec56d5e79p+2, 7, 1787},
+  };
+  ThreadPool pool(4);
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    Configuration config;
+    config.name = c.name;
+    config.indexes = c.indexes;
+    auto applied = db->ApplyConfiguration(config);
+    ASSERT_TRUE(applied.ok()) << applied.status().ToString();
+    auto plan = db->Plan(kJoinResidualSql);
+    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    PlanNode* join = FindNode(plan->root.get(), c.join);
+    ASSERT_NE(join, nullptr) << plan->ToString();
+    if (c.join == PlanNode::Kind::kHashJoin) {
+      // The planner hashes on both equalities; leave the second one to the
+      // join's residual instead.
+      ASSERT_EQ(join->hash_keys.size(), 2u) << plan->ToString();
+      ResidualPred p;
+      p.kind = ResidualPred::Kind::kColEqCol;
+      p.a = join->hash_keys.back().first;
+      p.b = join->hash_keys.back().second;
+      join->hash_keys.pop_back();
+      join->residual.push_back(p);
+    }
+    EXPECT_EQ(join->index_only, c.index_only) << plan->ToString();
+    ASSERT_EQ(CrossResiduals(*join), 1u) << plan->ToString();
+
+    auto run = [&](bool vectorized) {
+      BufferPool bp(db->options().buffer_pool_pages);
+      ExecContext ctx = db->MakeSessionContext(&bp, db->options().cost);
+      vec::VecExecOptions vopts;
+      vopts.pool = &pool;
+      vopts.morsel_pages = 4;
+      return vectorized ? vec::ExecutePlanVectorized(*plan, *db, &ctx, vopts)
+                        : ExecutePlan(*plan, *db, &ctx);
+    };
+    Result<QueryResult> volcano = run(false);
+    ASSERT_TRUE(volcano.ok()) << volcano.status().ToString();
+    Result<QueryResult> vectorized = run(true);
+    ASSERT_TRUE(vectorized.ok()) << vectorized.status().ToString();
+    EXPECT_FALSE(volcano->timed_out);
+    EXPECT_EQ(Rows(*volcano), want);
+    EXPECT_EQ(Rows(*vectorized), want);
+    EXPECT_EQ(volcano->sim_seconds, vectorized->sim_seconds);
+    EXPECT_EQ(volcano->pages_read, vectorized->pages_read);
+    EXPECT_EQ(volcano->tuples_processed, vectorized->tuples_processed);
+    EXPECT_EQ(volcano->sim_seconds, c.sim_seconds);
+    EXPECT_EQ(volcano->pages_read, c.pages_read);
+    EXPECT_EQ(volcano->tuples_processed, c.tuples_processed);
+  }
+  ASSERT_TRUE(db->ResetToPrimary().ok());
 }
 
 }  // namespace
