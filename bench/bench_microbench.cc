@@ -1,7 +1,9 @@
 // google-benchmark microbenchmarks of the engine's hot paths: B+-tree
-// probes, probe walks and inserts, heap fetch by slot, the timeout check,
-// tuple codec, buffer-pool bookkeeping, IN-set materialization (memo miss
-// vs hit), and end-to-end planning/execution on a small database. These
+// probes, probe walks and inserts, heap fetch by slot, whole-row vs
+// projected heap scans, the timeout check, tuple codec, buffer-pool
+// bookkeeping, IN-set materialization (memo miss vs hit), the bulk passes
+// (ANALYZE of one table, an index build), and end-to-end
+// planning/execution on a small database. These
 // guard the wall-clock cost of the simulation itself (the figure benches
 // run hundreds of queries).
 
@@ -18,6 +20,7 @@
 #include "storage/btree.h"
 #include "storage/buffer_pool.h"
 #include "storage/heap_table.h"
+#include "storage/stats_collector.h"
 #include "storage/tuple_codec.h"
 #include "util/rng.h"
 
@@ -128,6 +131,77 @@ void BM_HeapFetch(benchmark::State& state, bool last_slot) {
 BENCHMARK_CAPTURE(BM_HeapFetch, first_slot, false);
 BENCHMARK_CAPTURE(BM_HeapFetch, last_slot, true);
 
+/// An 11-column heap shaped like NREF's neighboring_seq (ints, a double
+/// and short strings; 20 000 rows), for the bulk-pass benchmarks.
+const HeapTable& WideHeap() {
+  static PageStore store;
+  static const HeapTable* heap = [] {
+    // Leaked like SharedDb's database. NOLINT(tabbench-naked-new)
+    auto* h = new HeapTable(  // NOLINT(tabbench-naked-new)
+        "wide",
+        TupleCodec({TypeId::kInt, TypeId::kString, TypeId::kInt,
+                    TypeId::kString, TypeId::kInt, TypeId::kInt,
+                    TypeId::kInt, TypeId::kDouble, TypeId::kInt,
+                    TypeId::kString, TypeId::kInt}),
+        &store);
+    Rng rng(6);
+    for (int64_t i = 0; i < 20000; ++i) {
+      h->Append(Tuple(
+          {Value(i), Value("NF" + std::to_string(rng.Uniform(5000))),
+           Value(static_cast<int64_t>(rng.Uniform(1000))),
+           Value("NF" + std::to_string(rng.Uniform(5000))),
+           Value(static_cast<int64_t>(rng.Uniform(300))),
+           Value(static_cast<int64_t>(rng.Uniform(300))),
+           Value(static_cast<int64_t>(rng.Uniform(50))),
+           Value(rng.UniformDouble()),
+           Value(static_cast<int64_t>(rng.Uniform(800))),
+           Value("taxon" + std::to_string(rng.Uniform(200))),
+           Value(static_cast<int64_t>(rng.Uniform(10)))}));
+    }
+    return h;
+  }();
+  return *heap;
+}
+
+/// A full scan of WideHeap() decoding every column of each row (full) or
+/// only column 2 (projected, the other ten skipped by tag and length).
+void BM_HeapScanDecode(benchmark::State& state, bool projected) {
+  const HeapTable& heap = WideHeap();
+  const std::vector<size_t> cols{2};
+  for (auto _ : state) {
+    auto cursor = heap.Scan(nullptr);
+    int64_t sum = 0;
+    if (projected) {
+      std::vector<Value> vals;
+      while (cursor.Next(cols, &vals, nullptr)) sum += vals[0].as_int();
+    } else {
+      Tuple t;
+      while (cursor.Next(&t, nullptr)) sum += t.at(2).as_int();
+    }
+    benchmark::DoNotOptimize(sum);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(heap.num_rows()));
+}
+BENCHMARK_CAPTURE(BM_HeapScanDecode, full, false);
+BENCHMARK_CAPTURE(BM_HeapScanDecode, projected, true);
+
+/// ANALYZE of WideHeap(): one pass per column, all statistics built.
+void BM_CollectTableStats(benchmark::State& state) {
+  const HeapTable& heap = WideHeap();
+  std::vector<std::string> names;
+  for (size_t c = 0; c < heap.codec().types().size(); ++c) {
+    names.push_back("c" + std::to_string(c));
+  }
+  for (auto _ : state) {
+    TableStats ts = CollectTableStats(heap, names);
+    benchmark::DoNotOptimize(ts);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(heap.num_rows() * names.size()));
+}
+BENCHMARK(BM_CollectTableStats);
+
 /// ExecContext::CheckTimeout on a live, untraced context: the check every
 /// operator makes per row.
 void BM_CheckTimeout(benchmark::State& state) {
@@ -211,6 +285,29 @@ Database* IndexedDb() {
   }();
   return db;
 }
+
+/// ApplyConfiguration of one secondary index over the small table t
+/// (20 000 rows): the key-only scan, the (key, rid) sort and the bulk
+/// build. range(0): 0 = index on the int column b, 1 = on (c, b).
+void BM_BuildIndex(benchmark::State& state) {
+  Database* db = SharedDb();
+  Configuration config;
+  config.name = "ix";
+  if (state.range(0) == 0) {
+    config.indexes.push_back({"ix_b", "t", {"b"}, false});
+  } else {
+    config.indexes.push_back({"ix_cb", "t", {"c", "b"}, false});
+  }
+  for (auto _ : state) {
+    Result<BuildReport> rep = db->ApplyConfiguration(config);
+    if (!rep.ok()) state.SkipWithError(rep.status().message().c_str());
+    benchmark::DoNotOptimize(rep);
+  }
+  if (!db->ResetToPrimary().ok()) state.SkipWithError("reset failed");
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(db->TableRowCount("t")));
+}
+BENCHMARK(BM_BuildIndex)->ArgName("composite")->Arg(0)->Arg(1);
 
 /// One `c IN (SELECT c FROM t GROUP BY c HAVING COUNT(*) < 40)` set
 /// (~40 rows per value, so about half the values qualify). A miss scans

@@ -264,9 +264,8 @@ Result<MutationWorkloadResult> RunMutationWorkload(
   {
     live.reserve(heap->num_rows());
     auto cursor = heap->Scan(nullptr);
-    Tuple t;
     Rid rid;
-    while (cursor.Next(&t, &rid)) live.push_back(rid);
+    while (cursor.NextRid(&rid)) live.push_back(rid);
   }
 
   MutationWorkloadResult out;

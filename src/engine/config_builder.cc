@@ -1,7 +1,7 @@
 #include <algorithm>
-#include <cmath>
 
 #include "engine/database.h"
+#include "engine/index_build.h"
 #include "exec/operators.h"
 #include "optimizer/planner.h"
 #include "util/fault_injection.h"
@@ -73,37 +73,18 @@ Status Database::BuildIndex(const IndexDef& def, ExecContext* ctx,
     }
   }
 
-  // Scan the heap extracting (key, rid) pairs.
+  // Scan the heap extracting (key, rid) pairs, decoding only the key.
   std::vector<std::pair<IndexKey, Rid>> entries;
   entries.reserve(heap->num_rows());
+  const std::vector<size_t> cols(key_cols.begin(), key_cols.end());
   auto cursor = heap->Scan([ctx](PageId id) { ctx->TouchPage(id); });
-  Tuple t;
+  IndexKey key;
   Rid rid;
-  while (cursor.Next(&t, &rid)) {
+  while (cursor.Next(cols, &key, &rid)) {
     ctx->ChargeTuples(1);
-    IndexKey key;
-    key.reserve(key_cols.size());
-    for (int pos : key_cols) key.push_back(t.at(static_cast<size_t>(pos)));
     entries.emplace_back(std::move(key), rid);
   }
-
-  // External sort charge: n log2(n) comparisons plus a spill pass when the
-  // run exceeds work memory.
-  double n = static_cast<double>(entries.size());
-  if (n > 1) {
-    ctx->ChargeHashOps(static_cast<uint64_t>(n * std::log2(n)));
-    double bytes = n * (key_width + 8.0);
-    double pages = bytes / static_cast<double>(kPageSize);
-    if (pages > static_cast<double>(ctx->params().work_mem_pages)) {
-      ctx->ChargeIoPages(static_cast<uint64_t>(2.0 * pages));
-    }
-  }
-  std::sort(entries.begin(), entries.end(),
-            [](const auto& a, const auto& b) {
-              int c = CompareKeys(a.first, b.first);
-              if (c != 0) return c < 0;
-              return a.second < b.second;
-            });
+  SortIndexEntries(*heap, key_cols, key_width, ctx, &entries);
 
   auto bi = std::make_unique<BuiltIndex>();
   bi->def = def;

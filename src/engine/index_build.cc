@@ -29,6 +29,57 @@ const char* IndexBuildStateName(IndexBuildState s) {
   return "?";
 }
 
+namespace {
+template <typename T>
+int Compare3(T a, T b) {
+  return a < b ? -1 : (a > b ? 1 : 0);
+}
+
+/// Value::Compare, inline, for two values of a column of type `t`.
+int CompareAs(const Value& a, const Value& b, TypeId t) {
+  const bool a_null = a.is_null(), b_null = b.is_null();
+  if (a_null || b_null) return a_null == b_null ? 0 : (a_null ? -1 : 1);
+  switch (t) {
+    case TypeId::kInt:
+      return Compare3(a.as_int(), b.as_int());
+    case TypeId::kDouble:
+      return Compare3(a.as_double(), b.as_double());
+    case TypeId::kString:
+      return a.as_string().compare(b.as_string());
+  }
+  return 0;
+}
+}  // namespace
+
+void SortIndexEntries(const HeapTable& heap, const std::vector<int>& key_cols,
+                      double key_width, ExecContext* ctx,
+                      std::vector<std::pair<IndexKey, Rid>>* entries) {
+  double n = static_cast<double>(entries->size());
+  if (n > 1) {
+    ctx->ChargeHashOps(static_cast<uint64_t>(n * std::log2(n)));
+    double bytes = n * (key_width + 8.0);
+    double pages = bytes / static_cast<double>(kPageSize);
+    if (pages > static_cast<double>(ctx->params().work_mem_pages)) {
+      ctx->ChargeIoPages(static_cast<uint64_t>(2.0 * pages));
+    }
+  }
+  std::vector<TypeId> types;
+  for (int pos : key_cols) {
+    types.push_back(heap.codec().types()[static_cast<size_t>(pos)]);
+  }
+  // Every key has one value per key column, so CompareKeys' shorter-first
+  // rule never applies; (key, rid) is a total order, so the sorted result
+  // is unique.
+  std::sort(entries->begin(), entries->end(),
+            [&types](const auto& a, const auto& b) {
+              for (size_t i = 0; i < types.size(); ++i) {
+                int c = CompareAs(a.first[i], b.first[i], types[i]);
+                if (c != 0) return c < 0;
+              }
+              return a.second < b.second;
+            });
+}
+
 OnlineIndexBuild::OnlineIndexBuild(Database* db, IndexDef def,
                                    IndexBuildOptions options)
     : db_(db), def_(std::move(def)), options_(options) {}
@@ -83,6 +134,7 @@ Status OnlineIndexBuild::Start(ExecContext* /*ctx*/) {
   Database::IndexKeySpec spec;
   TB_ASSIGN_OR_RETURN(spec, db_->ResolveIndexKey(def_));
   key_cols_ = std::move(spec.key_cols);
+  scan_cols_.assign(key_cols_.begin(), key_cols_.end());
   key_width_ = spec.key_width;
   heap_ = db_->FindHeap(def_.target);
   if (heap_ == nullptr) {
@@ -137,13 +189,13 @@ Result<IndexBuildState> OnlineIndexBuild::Step(ExecContext* ctx) {
 
 Status OnlineIndexBuild::StepScan(ExecContext* ctx) {
   TB_FAULT_POINT("engine.index_build.scan");
-  Tuple t;
+  IndexKey key;
   Rid rid;
   for (uint64_t i = 0; i < options_.rows_per_step; ++i) {
-    if (!cursor_->Next(&t, &rid)) break;
+    if (!cursor_->Next(scan_cols_, &key, &rid)) break;
     if (!(rid < scan_bound_)) break;  // past the snapshot: side-log territory
     ctx->ChargeTuples(1);
-    snapshot_.emplace_back(Database::ExtractKey(key_cols_, t), rid);
+    snapshot_.emplace_back(std::move(key), rid);
     if (i + 1 == options_.rows_per_step) return Status::OK();  // quantum spent
   }
   cursor_.reset();
@@ -152,22 +204,7 @@ Status OnlineIndexBuild::StepScan(ExecContext* ctx) {
 
 Status OnlineIndexBuild::StepBackfill(ExecContext* ctx) {
   TB_FAULT_POINT("engine.index_build.backfill");
-  // Same external-sort charge as the offline builder (config_builder.cc).
-  double n = static_cast<double>(snapshot_.size());
-  if (n > 1) {
-    ctx->ChargeHashOps(static_cast<uint64_t>(n * std::log2(n)));
-    double bytes = n * (key_width_ + 8.0);
-    double pages = bytes / static_cast<double>(kPageSize);
-    if (pages > static_cast<double>(ctx->params().work_mem_pages)) {
-      ctx->ChargeIoPages(static_cast<uint64_t>(2.0 * pages));
-    }
-  }
-  std::sort(snapshot_.begin(), snapshot_.end(),
-            [](const auto& a, const auto& b) {
-              int c = CompareKeys(a.first, b.first);
-              if (c != 0) return c < 0;
-              return a.second < b.second;
-            });
+  SortIndexEntries(*heap_, key_cols_, key_width_, ctx, &snapshot_);
   tree_->BulkBuild(std::move(snapshot_));
   snapshot_.clear();
   ctx->ChargeIoPages(tree_->num_pages());  // writing out the tree
@@ -245,36 +282,19 @@ Result<ShadowIndexBuildResult> ShadowIndexBuild(const Database& db,
 
   std::vector<std::pair<IndexKey, Rid>> entries;
   entries.reserve(heap->num_rows());
+  const std::vector<size_t> cols(spec.key_cols.begin(), spec.key_cols.end());
   auto cursor = heap->Scan([ctx](PageId id) { ctx->TouchPage(id); });
-  Tuple t;
+  IndexKey key;
   Rid rid;
   uint64_t seen = 0;
-  while (cursor.Next(&t, &rid)) {
+  while (cursor.Next(cols, &key, &rid)) {
     ctx->ChargeTuples(1);
     // Shadow builds run as cancellable background jobs: poll so a watchdog
     // cancel or shard kill tears the scan down promptly.
     if ((++seen & 0x3ff) == 0) TB_RETURN_IF_ERROR(ctx->CheckTimeout());
-    IndexKey key;
-    key.reserve(spec.key_cols.size());
-    for (int pos : spec.key_cols) key.push_back(t.at(static_cast<size_t>(pos)));
     entries.emplace_back(std::move(key), rid);
   }
-
-  double n = static_cast<double>(entries.size());
-  if (n > 1) {
-    ctx->ChargeHashOps(static_cast<uint64_t>(n * std::log2(n)));
-    double bytes = n * (spec.key_width + 8.0);
-    double pages = bytes / static_cast<double>(kPageSize);
-    if (pages > static_cast<double>(ctx->params().work_mem_pages)) {
-      ctx->ChargeIoPages(static_cast<uint64_t>(2.0 * pages));
-    }
-  }
-  std::sort(entries.begin(), entries.end(),
-            [](const auto& a, const auto& b) {
-              int c = CompareKeys(a.first, b.first);
-              if (c != 0) return c < 0;
-              return a.second < b.second;
-            });
+  SortIndexEntries(*heap, spec.key_cols, spec.key_width, ctx, &entries);
 
   // Private store: the shadow tree never touches the database's pages, so
   // a cancelled or killed job leaves no trace to clean up.

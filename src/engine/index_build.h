@@ -122,6 +122,7 @@ class OnlineIndexBuild {
   IndexBuildState state_ = IndexBuildState::kPending;
 
   std::vector<int> key_cols_;
+  std::vector<size_t> scan_cols_;  // key_cols_, for the key-only scan
   double key_width_ = 0.0;
   const HeapTable* heap_ = nullptr;
   uint64_t observer_token_ = 0;
@@ -139,6 +140,16 @@ class OnlineIndexBuild {
   size_t side_log_applied_ = 0;
   std::unique_ptr<BTree> tree_;
 };
+
+/// The external sort every index build ends with (offline, online
+/// backfill, shadow): charges `ctx` n·log2 n comparisons, plus a read and a
+/// write pass when the run (n entries of `key_width` + 8 bytes) exceeds work
+/// memory, then sorts `entries` by (key, rid), the order BTree::BulkBuild
+/// takes. Key column i is column `key_cols[i]` of `heap`; the comparator is
+/// CompareKeys specialised to those columns' types.
+void SortIndexEntries(const HeapTable& heap, const std::vector<int>& key_cols,
+                      double key_width, ExecContext* ctx,
+                      std::vector<std::pair<IndexKey, Rid>>* entries);
 
 /// Result of a what-if (shadow) index build: the real scan + sort work
 /// charged to `ctx`, building into a private PageStore that is freed on

@@ -596,13 +596,14 @@ Result<InSet> MaterializeInSet(const InSetSpec& spec,
       counts[(*k)[0]] += 1;
     }
   } else {
-    const size_t pos = static_cast<size_t>(key.column);
+    // Decodes only the counted column.
+    const std::vector<size_t> cols{static_cast<size_t>(key.column)};
     auto cursor = heap->Scan(touch);
-    Tuple t;
-    while (cursor.Next(&t, nullptr)) {
+    std::vector<Value> v;
+    while (cursor.Next(cols, &v, nullptr)) {
       TB_RETURN_IF_ERROR(ChargeCountedRow(ctx));
       ++shape.back().rows;
-      counts[t.at(pos)] += 1;
+      counts[std::move(v[0])] += 1;
     }
   }
   // Order-insensitive: fills another unordered set (membership probes

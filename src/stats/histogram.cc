@@ -1,34 +1,49 @@
 #include "stats/histogram.h"
 
 #include <algorithm>
-#include <cassert>
 
 namespace tabbench {
 
 EquiDepthHistogram EquiDepthHistogram::Build(
     const std::vector<Value>& sorted_values, size_t num_buckets) {
+  std::vector<uint64_t> run_rows;
+  std::vector<size_t> run_start;
+  for (size_t i = 0; i < sorted_values.size(); ++i) {
+    if (i == 0 || sorted_values[i] != sorted_values[i - 1]) {
+      run_rows.push_back(0);
+      run_start.push_back(i);
+    }
+    ++run_rows.back();
+  }
+  return BuildFromRuns(
+      run_rows, [&](size_t r) { return sorted_values[run_start[r]]; },
+      num_buckets);
+}
+
+EquiDepthHistogram EquiDepthHistogram::BuildFromRuns(
+    const std::vector<uint64_t>& run_rows,
+    const std::function<Value(size_t)>& value_of, size_t num_buckets) {
   EquiDepthHistogram h;
-  const size_t n = sorted_values.size();
+  uint64_t n = 0;
+  for (uint64_t rows : run_rows) n += rows;
   if (n == 0 || num_buckets == 0) return h;
   h.total_rows_ = n;
-  num_buckets = std::min(num_buckets, n);
-  const size_t target_depth = (n + num_buckets - 1) / num_buckets;
+  const uint64_t buckets = std::min<uint64_t>(num_buckets, n);
+  const uint64_t target_depth = (n + buckets - 1) / buckets;
 
-  Bucket cur;
+  // A bucket closes at a value boundary once it holds the target depth (or
+  // at the last value), so a single value never straddles two buckets.
   uint64_t cur_rows = 0, cur_distinct = 0;
-  for (size_t i = 0; i < n; ++i) {
-    const bool new_value = (i == 0) || (sorted_values[i] != sorted_values[i - 1]);
-    if (new_value) ++cur_distinct;
-    ++cur_rows;
-    // Close the bucket at value boundaries once the target depth is met, so
-    // that a single value never straddles two buckets.
-    const bool last = (i + 1 == n);
-    const bool boundary = last || (sorted_values[i + 1] != sorted_values[i]);
-    if (boundary && (cur_rows >= target_depth || last)) {
-      cur.upper = sorted_values[i];
-      cur.rows = cur_rows;
-      cur.distinct = cur_distinct;
-      h.buckets_.push_back(cur);
+  for (size_t r = 0; r < run_rows.size(); ++r) {
+    ++cur_distinct;
+    cur_rows += run_rows[r];
+    const bool last = (r + 1 == run_rows.size());
+    if (cur_rows >= target_depth || last) {
+      Bucket b;
+      b.upper = value_of(r);
+      b.rows = cur_rows;
+      b.distinct = cur_distinct;
+      h.buckets_.push_back(std::move(b));
       cur_rows = 0;
       cur_distinct = 0;
     }

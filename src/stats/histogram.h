@@ -1,6 +1,7 @@
 #ifndef TABBENCH_STATS_HISTOGRAM_H_
 #define TABBENCH_STATS_HISTOGRAM_H_
 
+#include <functional>
 #include <vector>
 
 #include "types/value.h"
@@ -25,6 +26,14 @@ class EquiDepthHistogram {
   /// Builds from a *sorted* vector of non-null values.
   static EquiDepthHistogram Build(const std::vector<Value>& sorted_values,
                                   size_t num_buckets);
+
+  /// Builds from a sorted column in run-length form: `run_rows[i]` (> 0)
+  /// rows hold the i-th smallest distinct value, and `value_of(i)` returns
+  /// that value (called once per bucket, for its upper bound). Gives the
+  /// same buckets as Build over the expanded column.
+  static EquiDepthHistogram BuildFromRuns(
+      const std::vector<uint64_t>& run_rows,
+      const std::function<Value(size_t)>& value_of, size_t num_buckets);
 
   /// Estimated number of rows with value == v (uniform within bucket).
   double EstimateEqRows(const Value& v) const;

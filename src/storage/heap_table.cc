@@ -105,7 +105,7 @@ Result<Tuple> HeapTable::Fetch(const Rid& rid, const PageTouchFn& touch) const {
 HeapTable::Cursor::Cursor(const HeapTable* table, PageTouchFn touch)
     : table_(table), touch_(std::move(touch)) {}
 
-bool HeapTable::Cursor::Next(Tuple* t, Rid* rid) {
+bool HeapTable::Cursor::NextRecord(const uint8_t** rec, Rid* rid) {
   while (page_ordinal_ < table_->pages_.size()) {
     PageId pid = table_->pages_[page_ordinal_];
     const Page* page = table_->store_->GetPage(pid);
@@ -116,22 +116,19 @@ bool HeapTable::Cursor::Next(Tuple* t, Rid* rid) {
       if (touch_) touch_(pid);
     }
     if (slot_ < page->num_slots) {
-      if (table_->IsDeleted(page_ordinal_, slot_)) {
-        // Tombstone: still decode past the record bytes (records are
-        // back-to-back), but don't surface the row.
-        uint16_t len;
-        std::memcpy(&len, page->data + offset_, 2);
-        offset_ += 2u + len;
-        ++slot_;
-        continue;
-      }
-      offset_ += 2;  // record length header
-      *t = table_->codec_.Decode(page->data, &offset_);
+      // Records are back-to-back: step past this one by its length header,
+      // whether or not it is surfaced.
+      uint16_t len;
+      std::memcpy(&len, page->data + offset_, 2);
+      const size_t start = offset_ + 2;
+      const size_t slot = slot_++;
+      offset_ = start + len;
+      if (table_->IsDeleted(page_ordinal_, slot)) continue;  // tombstone
+      *rec = page->data + start;
       if (rid != nullptr) {
         *rid = Rid{static_cast<uint32_t>(page_ordinal_),
-                   static_cast<uint32_t>(slot_)};
+                   static_cast<uint32_t>(slot)};
       }
-      ++slot_;
       return true;
     }
     ++page_ordinal_;
@@ -139,6 +136,27 @@ bool HeapTable::Cursor::Next(Tuple* t, Rid* rid) {
     offset_ = 0;
   }
   return false;
+}
+
+bool HeapTable::Cursor::Next(Tuple* t, Rid* rid) {
+  const uint8_t* rec = nullptr;
+  if (!NextRecord(&rec, rid)) return false;
+  size_t off = 0;
+  *t = table_->codec_.Decode(rec, &off);
+  return true;
+}
+
+bool HeapTable::Cursor::Next(const std::vector<size_t>& cols,
+                             std::vector<Value>* vals, Rid* rid) {
+  const uint8_t* rec = nullptr;
+  if (!NextRecord(&rec, rid)) return false;
+  table_->codec_.DecodeProjected(rec, cols, vals);
+  return true;
+}
+
+bool HeapTable::Cursor::NextRid(Rid* rid) {
+  const uint8_t* rec = nullptr;
+  return NextRecord(&rec, rid);
 }
 
 void HeapTable::Drop() {

@@ -68,13 +68,28 @@ class HeapTable {
   /// NotFound for tombstoned rows.
   Result<Tuple> Fetch(const Rid& rid, const PageTouchFn& touch) const;
 
-  /// Forward scan over all rows.
+  /// Forward scan over all live rows. Every Next variant advances the same
+  /// page walk: each page is reported through `touch` and evaluated at the
+  /// `storage.heap_scan` fault point once, when the walk reaches it, and
+  /// tombstones are skipped by their length header. The variants differ
+  /// only in how much of each row they decode, so a projected scan touches,
+  /// faults and counts rows exactly as a whole-row scan does. Each returns
+  /// false at end; on true `*rid` (if non-null) is set.
   class Cursor {
    public:
     Cursor(const HeapTable* table, PageTouchFn touch);
-    /// Advances; returns false at end. On true, `*t` (and `*rid`, if
-    /// non-null) are set.
+    /// Whole-row scan: `*t` gets every column.
     bool Next(Tuple* t, Rid* rid);
+    /// Projected scan: `(*vals)[i]` gets column `cols[i]`; the other
+    /// columns are skipped undecoded (TupleCodec::DecodeProjected).
+    bool Next(const std::vector<size_t>& cols, std::vector<Value>* vals,
+              Rid* rid);
+    /// Rid-only scan: decodes nothing.
+    bool NextRid(Rid* rid);
+    /// Raw scan: `*rec` points at the row's encoded bytes on its page, for
+    /// the codec's in-place field readers (TupleCodec::FieldOffset). Valid
+    /// until the table is next written.
+    bool NextRecord(const uint8_t** rec, Rid* rid);
 
    private:
     const HeapTable* table_;

@@ -1,5 +1,6 @@
 #include "storage/tuple_codec.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cstring>
 
@@ -9,18 +10,8 @@ namespace {
 void PutU64(uint64_t v, std::vector<uint8_t>* out) {
   for (int i = 0; i < 8; ++i) out->push_back(static_cast<uint8_t>(v >> (8 * i)));
 }
-uint64_t GetU64(const uint8_t* p) {
-  uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<uint64_t>(p[i]) << (8 * i);
-  return v;
-}
 void PutU32(uint32_t v, std::vector<uint8_t>* out) {
   for (int i = 0; i < 4; ++i) out->push_back(static_cast<uint8_t>(v >> (8 * i)));
-}
-uint32_t GetU32(const uint8_t* p) {
-  uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= static_cast<uint32_t>(p[i]) << (8 * i);
-  return v;
 }
 }  // namespace
 
@@ -59,36 +50,45 @@ Tuple TupleCodec::Decode(const uint8_t* data, size_t* offset) const {
   vals.reserve(types_.size());
   size_t off = *offset;
   for (TypeId t : types_) {
-    uint8_t tag = data[off++];
-    if (tag == 0) {
+    const uint8_t* field = data + off;
+    off += FieldSize(field, t);
+    // Built in place: FieldValue plus a move would add a variant move per
+    // field on the whole-row path.
+    if (FieldIsNull(field)) {
       vals.emplace_back();
       continue;
     }
     switch (t) {
       case TypeId::kInt:
-        vals.emplace_back(static_cast<int64_t>(GetU64(data + off)));
-        off += 8;
+        vals.emplace_back(FieldInt(field));
         break;
-      case TypeId::kDouble: {
-        uint64_t bits = GetU64(data + off);
-        off += 8;
-        double d;
-        std::memcpy(&d, &bits, 8);
-        vals.emplace_back(d);
+      case TypeId::kDouble:
+        vals.emplace_back(FieldDouble(field));
         break;
-      }
-      case TypeId::kString: {
-        uint32_t len = GetU32(data + off);
-        off += 4;
-        vals.emplace_back(
-            std::string(reinterpret_cast<const char*>(data + off), len));
-        off += len;
+      case TypeId::kString:
+        vals.emplace_back(std::string(FieldString(field)));
         break;
-      }
     }
   }
   *offset = off;
   return Tuple(std::move(vals));
+}
+
+void TupleCodec::DecodeProjected(const uint8_t* rec,
+                                 const std::vector<size_t>& cols,
+                                 std::vector<Value>* out) const {
+  out->resize(cols.size());
+  if (cols.empty()) return;
+  const size_t last = *std::max_element(cols.begin(), cols.end());
+  assert(last < types_.size());
+  size_t off = 0;
+  for (size_t c = 0; c <= last; ++c) {
+    const uint8_t* field = rec + off;
+    for (size_t i = 0; i < cols.size(); ++i) {
+      if (cols[i] == c) (*out)[i] = FieldValue(field, types_[c]);
+    }
+    off += FieldSize(field, types_[c]);
+  }
 }
 
 size_t TupleCodec::EncodedSize(const Tuple& t) const {

@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <map>
+
 #include "core/configurations.h"
 #include "engine/database.h"
+#include "engine/index_build.h"
 #include "test_util.h"
 
 namespace tabbench {
@@ -237,6 +241,122 @@ TEST(EngineTest, CurrentViewReflectsBuiltState) {
   EXPECT_DOUBLE_EQ(found->entries, 2000.0);
   EXPECT_GT(found->distinct_keys, 1.0);
   EXPECT_GT(found->leaf_pages, 0.0);
+}
+
+uint64_t DoubleBits(double d) {
+  uint64_t bits;
+  std::memcpy(&bits, &d, sizeof bits);
+  return bits;
+}
+
+std::map<std::string, uint64_t> SecondaryFingerprints(const Database& db) {
+  std::map<std::string, uint64_t> out;
+  for (const auto& idx : db.current_config().indexes) {
+    if (idx.is_primary) continue;
+    auto fp = db.SecondaryIndexFingerprint(idx.name);
+    if (fp.ok()) out[idx.name] = *fp;
+  }
+  return out;
+}
+
+// The pinned values below were produced by the whole-row index builder
+// (every column of every row decoded into a Tuple, keys sorted with
+// CompareKeys). The key-only builders must reproduce its trees and its
+// simulated charges bit for bit.
+TEST(EngineTest, OneColumnBuildOnMiniNrefPinned) {
+  std::unique_ptr<Database> db = testing::MakeMiniNref();
+  ASSERT_NE(db, nullptr);
+  auto rep = db->ApplyConfiguration(Make1CConfig(db->catalog()));
+  ASSERT_TRUE(rep.ok()) << rep.status().ToString();
+  EXPECT_EQ(DoubleBits(rep->build_seconds), 0x409aa10275256e70ULL);
+  EXPECT_EQ(rep->secondary_pages, 378u);
+  const std::map<std::string, uint64_t> expected = {
+      {"oc_identical_seq_nref_id_1", 0x5ad588b7a0654fb6ULL},
+      {"oc_identical_seq_nref_id_2", 0xa1ca9d1526c74ecfULL},
+      {"oc_identical_seq_ordinal", 0x5296f43cce8e4df0ULL},
+      {"oc_identical_seq_taxon_id", 0x013abc33e25551d2ULL},
+      {"oc_neighboring_seq_length_2", 0x5c4842b34680260bULL},
+      {"oc_neighboring_seq_nref_id_1", 0x5755167e14d76634ULL},
+      {"oc_neighboring_seq_nref_id_2", 0x132564ac9820fb2cULL},
+      {"oc_neighboring_seq_ordinal", 0xda53c26856943d35ULL},
+      {"oc_neighboring_seq_overlap_length", 0xf194def63b5487bfULL},
+      {"oc_neighboring_seq_taxon_id_2", 0xca76112f136d300eULL},
+      {"oc_organism_name", 0x17ce72d94caef26cULL},
+      {"oc_organism_nref_id", 0x0b7e4bf4bb48a5b0ULL},
+      {"oc_organism_ordinal", 0x8ff380d95efb75d3ULL},
+      {"oc_organism_taxon_id", 0x0c6b24a897d19802ULL},
+      {"oc_protein_last_updated", 0x396e8c8ea907f25eULL},
+      {"oc_protein_length", 0x9be78290ce618cfbULL},
+      {"oc_protein_nref_id", 0x23b60038b4f0a566ULL},
+      {"oc_protein_p_name", 0x5bfdbad3bfab3302ULL},
+      {"oc_source_accession", 0x8c193b6629934d4cULL},
+      {"oc_source_nref_id", 0x7b041e6fb2697b5cULL},
+      {"oc_source_p_id", 0xf0303c9c039288a6ULL},
+      {"oc_source_p_name", 0xce62e250ab7376e1ULL},
+      {"oc_source_source", 0xbaf48c19176cb3f9ULL},
+      {"oc_source_taxon_id", 0x94bdfd03110b4869ULL},
+      {"oc_taxonomy_common_name", 0x71ef5bdf7d6e906dULL},
+      {"oc_taxonomy_lineage", 0xb2050f1986ca7384ULL},
+      {"oc_taxonomy_nref_id", 0x4ca3c892c3bd5ed5ULL},
+      {"oc_taxonomy_species_name", 0x3999284472531fbbULL},
+      {"oc_taxonomy_taxon_id", 0x616e78aee278b136ULL},
+  };
+  EXPECT_EQ(SecondaryFingerprints(*db), expected);
+}
+
+// View and composite (string, int) keys, plus the shadow and online
+// builders, against the same whole-row builder's values.
+TEST(EngineTest, ViewCompositeShadowAndOnlineBuildsPinned) {
+  TinyDb tiny = TinyDb::Make(3000, 40);
+  Database* db = tiny.db.get();
+  Configuration cfg;
+  cfg.name = "VC";
+  ViewDef v;
+  v.name = "pd";
+  v.tables = {"people", "depts"};
+  v.joins = {{"people", "dept", "depts", "dept_id"}};
+  v.projection = {{"people", "city", "people_city"},
+                  {"depts", "region", "depts_region"}};
+  cfg.views.push_back(v);
+  cfg.indexes.push_back(
+      {"ix_pd", "pd", {"depts_region", "people_city"}, false});
+  cfg.indexes.push_back({"ix_cs", "people", {"city", "score", "dept"}, false});
+  auto rep = db->ApplyConfiguration(cfg);
+  ASSERT_TRUE(rep.ok()) << rep.status().ToString();
+  EXPECT_EQ(DoubleBits(rep->build_seconds), 0x3fe5cc7d1bb4918bULL);
+  EXPECT_EQ(rep->secondary_pages, 38u);
+  const std::map<std::string, uint64_t> expected = {
+      {"ix_cs", 0x62bd0ebac40e915dULL},
+      {"ix_pd", 0x9e183fa4cd98c441ULL},
+  };
+  EXPECT_EQ(SecondaryFingerprints(*db), expected);
+
+  BufferPool shadow_pool(db->options().buffer_pool_pages);
+  ExecContext shadow_ctx =
+      db->MakeSessionContext(&shadow_pool, db->options().cost);
+  auto shadow = ShadowIndexBuild(
+      *db, {"sh", "people", {"score", "city"}, false}, &shadow_ctx);
+  ASSERT_TRUE(shadow.ok()) << shadow.status().ToString();
+  EXPECT_EQ(shadow->fingerprint, 0xf51bc1909c4a0c4fULL);
+  EXPECT_EQ(DoubleBits(shadow->sim_seconds), 0x3fd3388a8b08dd4eULL);
+  EXPECT_EQ(shadow->pages, 13u);
+
+  BufferPool online_pool(db->options().buffer_pool_pages);
+  ExecContext online_ctx =
+      db->MakeSessionContext(&online_pool, db->options().cost);
+  IndexBuildOptions bopts;
+  bopts.rows_per_step = 100;
+  OnlineIndexBuild build(db, {"ix_online", "people", {"city", "id"}, false},
+                         bopts);
+  TB_ASSERT_OK(build.Start(&online_ctx));
+  while (!build.done()) {
+    auto st = build.Step(&online_ctx);
+    ASSERT_TRUE(st.ok()) << st.status().ToString();
+  }
+  auto online_fp = db->SecondaryIndexFingerprint("ix_online");
+  ASSERT_TRUE(online_fp.ok());
+  EXPECT_EQ(*online_fp, 0xa31f6d00b7442b45ULL);
+  EXPECT_EQ(DoubleBits(online_ctx.sim_time()), 0x3fd3388a8b08dd4eULL);
 }
 
 }  // namespace

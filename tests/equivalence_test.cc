@@ -30,6 +30,11 @@ struct EquivalenceCase {
   bool three_way;  // 3J family (else 2J / 3Js)
 };
 
+// Without this, gtest prints the struct's raw bytes (a pointer plus
+// padding), so the listed test names change from one build or run to the
+// next.
+void PrintTo(const EquivalenceCase& c, std::ostream* os) { *os << c.name; }
+
 class EquivalenceTest : public ::testing::TestWithParam<EquivalenceCase> {};
 
 TEST_P(EquivalenceTest, ResultsInvariantUnderConfiguration) {

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
+#include <map>
+#include <string>
 
 #include "stats/column_stats.h"
 #include "stats/histogram.h"
@@ -8,6 +11,7 @@
 #include "storage/heap_table.h"
 #include "storage/page_store.h"
 #include "storage/stats_collector.h"
+#include "test_util.h"
 #include "util/rng.h"
 #include "util/zipf.h"
 
@@ -220,6 +224,313 @@ TEST(StatsCollectorTest, ZipfColumnHasWideFreqSpread) {
   uint64_t min_f = cs.freq_examples.front().first;
   uint64_t max_f = cs.freq_examples.back().first;
   EXPECT_GE(max_f, min_f * 100) << "zipf(1) should span 2+ orders";
+}
+
+// ------------------------------------------------------ typed ANALYZE oracle
+
+// The whole-row, Value-based collector CollectTableStats replaced, kept
+// here as the oracle: every column decoded from whole rows into a Value
+// vector, sorted with Value::Compare, runs found with Value ==, MCVs ranked
+// by a full sort, and the histogram built row by row over the expanded
+// non-MCV remainder. The typed collector must agree on every field.
+namespace oracle {
+
+struct Stats {
+  ColumnStats cs;  // everything but the histogram
+  std::vector<EquiDepthHistogram::Bucket> buckets;
+  uint64_t histogram_rows = 0;
+};
+
+void BuildHistogram(const std::vector<Value>& sorted_values,
+                    size_t num_buckets, Stats* out) {
+  const size_t n = sorted_values.size();
+  if (n == 0 || num_buckets == 0) return;
+  out->histogram_rows = n;
+  num_buckets = std::min(num_buckets, n);
+  const size_t target_depth = (n + num_buckets - 1) / num_buckets;
+  uint64_t cur_rows = 0, cur_distinct = 0;
+  for (size_t i = 0; i < n; ++i) {
+    const bool new_value =
+        (i == 0) || (sorted_values[i] != sorted_values[i - 1]);
+    if (new_value) ++cur_distinct;
+    ++cur_rows;
+    const bool last = (i + 1 == n);
+    const bool boundary = last || (sorted_values[i + 1] != sorted_values[i]);
+    if (boundary && (cur_rows >= target_depth || last)) {
+      EquiDepthHistogram::Bucket b;
+      b.upper = sorted_values[i];
+      b.rows = cur_rows;
+      b.distinct = cur_distinct;
+      out->buckets.push_back(b);
+      cur_rows = 0;
+      cur_distinct = 0;
+    }
+  }
+}
+
+Stats BuildColumnStats(std::vector<Value> values, uint64_t row_count,
+                       const StatsOptions& opts) {
+  Stats out;
+  ColumnStats& cs = out.cs;
+  cs.row_count = row_count;
+  std::vector<Value> non_null;
+  for (auto& v : values) {
+    if (v.is_null()) {
+      ++cs.null_count;
+    } else {
+      non_null.push_back(std::move(v));
+    }
+  }
+  if (non_null.empty()) return out;
+  std::sort(non_null.begin(), non_null.end());
+  cs.min = non_null.front();
+  cs.max = non_null.back();
+
+  std::vector<std::pair<Value, uint64_t>> freqs;
+  for (size_t i = 0; i < non_null.size();) {
+    size_t j = i;
+    while (j < non_null.size() && non_null[j] == non_null[i]) ++j;
+    freqs.emplace_back(non_null[i], static_cast<uint64_t>(j - i));
+    i = j;
+  }
+  cs.num_distinct = freqs.size();
+
+  std::map<uint64_t, uint64_t> fof;
+  std::map<uint64_t, Value> fex;
+  for (const auto& [v, f] : freqs) {
+    fof[f] += 1;
+    fex.try_emplace(f, v);
+  }
+  cs.freq_of_freq.assign(fof.begin(), fof.end());
+  cs.freq_examples.assign(fex.begin(), fex.end());
+  constexpr size_t kMaxFreqExamples = 96;
+  if (cs.freq_examples.size() > kMaxFreqExamples) {
+    std::vector<std::pair<uint64_t, Value>> kept;
+    size_t n = cs.freq_examples.size();
+    for (size_t i = 0; i < kMaxFreqExamples; ++i) {
+      size_t pos = i * (n - 1) / (kMaxFreqExamples - 1);
+      if (kept.empty() || kept.back().first != cs.freq_examples[pos].first) {
+        kept.push_back(cs.freq_examples[pos]);
+      }
+    }
+    cs.freq_examples = std::move(kept);
+  }
+
+  std::vector<size_t> order(freqs.size());
+  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
+  std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    if (freqs[a].second != freqs[b].second) {
+      return freqs[a].second > freqs[b].second;
+    }
+    return freqs[a].first < freqs[b].first;
+  });
+  size_t num_mcv = std::min(opts.num_mcvs, freqs.size());
+  std::vector<bool> is_mcv(freqs.size(), false);
+  for (size_t i = 0; i < num_mcv; ++i) {
+    cs.mcvs.push_back(freqs[order[i]]);
+    is_mcv[order[i]] = true;
+  }
+
+  std::vector<Value> rest;
+  for (size_t i = 0; i < freqs.size(); ++i) {
+    if (is_mcv[i]) continue;
+    for (uint64_t r = 0; r < freqs[i].second; ++r) {
+      rest.push_back(freqs[i].first);
+    }
+  }
+  BuildHistogram(rest, opts.histogram_buckets, &out);
+  return out;
+}
+
+std::map<std::string, Stats> CollectTableStats(
+    const HeapTable& table, const std::vector<std::string>& column_names,
+    const StatsOptions& opts) {
+  std::map<std::string, Stats> out;
+  for (size_t c = 0; c < column_names.size(); ++c) {
+    std::vector<Value> values;
+    auto cursor = table.Scan(nullptr);
+    Tuple t;
+    while (cursor.Next(&t, nullptr)) values.push_back(t.at(c));
+    out[column_names[c]] =
+        BuildColumnStats(std::move(values), table.num_rows(), opts);
+  }
+  return out;
+}
+
+}  // namespace oracle
+
+/// Bit-level Value identity: same kind and, for doubles, the same bits
+/// (Value == would equate -0.0 with 0.0).
+::testing::AssertionResult SameValue(const Value& a, const Value& b) {
+  bool same = false;
+  if (a.is_null() || b.is_null()) {
+    same = a.is_null() && b.is_null();
+  } else if (a.is_int() && b.is_int()) {
+    same = a.as_int() == b.as_int();
+  } else if (a.is_double() && b.is_double()) {
+    double x = a.as_double(), y = b.as_double();
+    same = std::memcmp(&x, &y, sizeof x) == 0;
+  } else if (a.is_string() && b.is_string()) {
+    same = a.as_string() == b.as_string();
+  }
+  if (same) return ::testing::AssertionSuccess();
+  return ::testing::AssertionFailure()
+         << a.ToString() << " vs " << b.ToString();
+}
+
+void ExpectSameStats(const ColumnStats& got, const oracle::Stats& want,
+                     const std::string& what) {
+  SCOPED_TRACE(what);
+  const ColumnStats& w = want.cs;
+  EXPECT_EQ(got.row_count, w.row_count);
+  EXPECT_EQ(got.null_count, w.null_count);
+  EXPECT_EQ(got.num_distinct, w.num_distinct);
+  EXPECT_TRUE(SameValue(got.min, w.min));
+  EXPECT_TRUE(SameValue(got.max, w.max));
+  EXPECT_EQ(got.freq_of_freq, w.freq_of_freq);
+  ASSERT_EQ(got.mcvs.size(), w.mcvs.size());
+  for (size_t i = 0; i < w.mcvs.size(); ++i) {
+    EXPECT_TRUE(SameValue(got.mcvs[i].first, w.mcvs[i].first)) << "mcv " << i;
+    EXPECT_EQ(got.mcvs[i].second, w.mcvs[i].second) << "mcv " << i;
+  }
+  ASSERT_EQ(got.freq_examples.size(), w.freq_examples.size());
+  for (size_t i = 0; i < w.freq_examples.size(); ++i) {
+    EXPECT_EQ(got.freq_examples[i].first, w.freq_examples[i].first);
+    EXPECT_TRUE(SameValue(got.freq_examples[i].second,
+                          w.freq_examples[i].second))
+        << "freq example " << i;
+  }
+  EXPECT_EQ(got.histogram.total_rows(), want.histogram_rows);
+  const auto& buckets = got.histogram.buckets();
+  ASSERT_EQ(buckets.size(), want.buckets.size());
+  for (size_t i = 0; i < buckets.size(); ++i) {
+    EXPECT_TRUE(SameValue(buckets[i].upper, want.buckets[i].upper))
+        << "bucket " << i;
+    EXPECT_EQ(buckets[i].rows, want.buckets[i].rows) << "bucket " << i;
+    EXPECT_EQ(buckets[i].distinct, want.buckets[i].distinct) << "bucket " << i;
+  }
+}
+
+void ExpectCollectorsAgree(const HeapTable& heap,
+                           const std::vector<std::string>& names,
+                           const StatsOptions& opts) {
+  TableStats got = CollectTableStats(heap, names, opts);
+  std::map<std::string, oracle::Stats> want =
+      oracle::CollectTableStats(heap, names, opts);
+  ASSERT_EQ(got.columns.size(), want.size());
+  for (const auto& [name, w] : want) {
+    ExpectSameStats(got.columns.at(name), w,
+                    heap.name() + "." + name + " (buckets " +
+                        std::to_string(opts.histogram_buckets) + ", mcvs " +
+                        std::to_string(opts.num_mcvs) + ")");
+  }
+}
+
+std::vector<StatsOptions> OracleOptions() {
+  std::vector<StatsOptions> out(5);
+  out[1].histogram_buckets = 4;
+  out[1].num_mcvs = 3;
+  out[2].num_mcvs = 0;
+  out[3].histogram_buckets = 0;
+  out[3].num_mcvs = 1000;  // more than any column's distinct count here
+  out[4].histogram_buckets = 1;
+  out[4].num_mcvs = 20;  // cuts through the tied frequency-5 group
+  return out;
+}
+
+/// Seeded random table covering the typed kernels' edge cases; see the
+/// column comments. Every seventh row is tombstoned.
+class StatsOracleFuzz : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(StatsOracleFuzz, TypedCollectorMatchesValueOracle) {
+  Rng rng(GetParam());
+  const std::vector<std::string> names = {
+      "zipf_int",  "dbl",        "str",      "all_null",
+      "one_value", "many_freqs", "mcv_ties", "shifted_int"};
+  PageStore store;
+  HeapTable heap("r",
+                 TupleCodec({TypeId::kInt, TypeId::kDouble, TypeId::kString,
+                             TypeId::kString, TypeId::kDouble, TypeId::kInt,
+                             TypeId::kInt, TypeId::kInt}),
+                 &store);
+  // many_freqs: value v occurs v times for v = 1..120 (> 96 distinct
+  // frequencies, so the log-spaced example subset is taken), shuffled.
+  std::vector<int64_t> many;
+  for (int64_t v = 1; v <= 120; ++v) {
+    for (int64_t k = 0; k < v; ++k) many.push_back(v);
+  }
+  rng.Shuffle(&many);
+  // mcv_ties: 30 values of frequency 5 after 4 more common ones, so the
+  // MCV cut-off falls inside a tie.
+  std::vector<int64_t> ties;
+  for (int64_t v = 0; v < 30; ++v) {
+    for (int k = 0; k < 5; ++k) ties.push_back(1000 - v);
+  }
+  for (int64_t v = 0; v < 4; ++v) {
+    for (int k = 0; k < 9 + v; ++k) ties.push_back(v);
+  }
+  rng.Shuffle(&ties);
+  const std::vector<std::string> alphabet = {
+      "",   "a",  "ab", "\x80", "\xff", "a\x80", "a\x7f", "\x7f", "zz",
+      "Zz", "\xc3\xa9t\xc3\xa9", std::string("b\0c", 3), "b"};
+  const std::vector<double> doubles = {-2.5, -0.0, 0.0, 1e-300, 3.25,
+                                       1e300, -1e300, 0.1};
+  ZipfSampler zipf(400, 1.0);
+  ZipfSampler str_zipf(alphabet.size(), 0.8);
+  std::vector<Rid> rids;
+  const size_t rows = many.size();
+  for (size_t i = 0; i < rows; ++i) {
+    std::vector<Value> row;
+    row.push_back(rng.Bernoulli(0.05)
+                      ? Value()
+                      : Value(static_cast<int64_t>(zipf.Sample(&rng))));
+    row.push_back(rng.Bernoulli(0.05)
+                      ? Value()
+                      : Value(doubles[rng.Uniform(doubles.size())] *
+                              static_cast<double>(1 + rng.Uniform(3))));
+    if (rng.Bernoulli(0.05)) {
+      row.emplace_back();
+    } else {
+      std::string s = alphabet[str_zipf.Sample(&rng)];
+      if (rng.Bernoulli(0.3)) s += alphabet[rng.Uniform(alphabet.size())];
+      row.emplace_back(std::move(s));
+    }
+    row.emplace_back();  // all_null
+    row.emplace_back(rng.Bernoulli(0.1) ? Value() : Value(42.0));
+    row.emplace_back(many[i]);
+    row.push_back(i < ties.size() ? Value(ties[i]) : Value());
+    row.emplace_back(static_cast<int64_t>(rng.Next()) >> rng.Uniform(60));
+    rids.push_back(heap.Append(Tuple(std::move(row))));
+  }
+  for (size_t i = 0; i < rids.size(); i += 7) {
+    TB_ASSERT_OK(heap.Delete(rids[i], nullptr));
+  }
+  for (const StatsOptions& opts : OracleOptions()) {
+    ExpectCollectorsAgree(heap, names, opts);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, StatsOracleFuzz,
+                         ::testing::Values(1, 2, 3, 4, 5));
+
+TEST(StatsOracleTest, EmptyTable) {
+  PageStore store;
+  HeapTable heap("e", TupleCodec({TypeId::kInt, TypeId::kString}), &store);
+  for (const StatsOptions& opts : OracleOptions()) {
+    ExpectCollectorsAgree(heap, {"a", "b"}, opts);
+  }
+}
+
+TEST(StatsOracleTest, MiniNrefTablesMatchValueOracle) {
+  std::unique_ptr<Database> db = testing::MakeMiniNref();
+  ASSERT_NE(db, nullptr);
+  for (const TableDef& def : db->catalog().tables()) {
+    const HeapTable* heap = db->FindHeap(def.name);
+    ASSERT_NE(heap, nullptr) << def.name;
+    std::vector<std::string> names;
+    for (const auto& c : def.columns) names.push_back(c.name);
+    ExpectCollectorsAgree(*heap, names, StatsOptions{});
+  }
 }
 
 }  // namespace

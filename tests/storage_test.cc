@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <set>
 #include <string>
 #include <utility>
@@ -10,6 +11,7 @@
 #include "storage/page_store.h"
 #include "storage/tuple_codec.h"
 #include "test_util.h"
+#include "util/fault_injection.h"
 #include "util/rng.h"
 
 namespace tabbench {
@@ -232,6 +234,90 @@ TEST_P(CodecFuzz, RandomRowsRoundTrip) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CodecFuzz, ::testing::Values(1, 2, 3, 4));
+
+/// Column types of the projected-decode tests: every type, twice, with
+/// strings among them so that skipped fields have variable length.
+std::vector<TypeId> MixedTypes() {
+  return {TypeId::kString, TypeId::kInt,    TypeId::kDouble, TypeId::kString,
+          TypeId::kInt,    TypeId::kString, TypeId::kDouble};
+}
+
+/// A random row of MixedTypes(): ~15 % NULLs, strings of 0..300 bytes
+/// including bytes >= 0x80.
+Tuple RandomMixedRow(Rng* rng) {
+  std::vector<Value> vals;
+  for (TypeId t : MixedTypes()) {
+    if (rng->Bernoulli(0.15)) {
+      vals.emplace_back();
+      continue;
+    }
+    switch (t) {
+      case TypeId::kInt:
+        vals.emplace_back(static_cast<int64_t>(rng->Next()));
+        break;
+      case TypeId::kDouble:
+        vals.emplace_back(rng->UniformDouble() * 1e6 - 5e5);
+        break;
+      case TypeId::kString: {
+        std::string s(rng->Uniform(301), '\0');
+        for (char& c : s) c = static_cast<char>(rng->Uniform(256));
+        vals.emplace_back(std::move(s));
+        break;
+      }
+    }
+  }
+  return Tuple(std::move(vals));
+}
+
+TEST_P(CodecFuzz, ProjectedDecodeMatchesFullDecode) {
+  Rng rng(GetParam() + 100);
+  TupleCodec codec(MixedTypes());
+  const size_t ncols = MixedTypes().size();
+  for (int iter = 0; iter < 100; ++iter) {
+    Tuple t = RandomMixedRow(&rng);
+    std::vector<uint8_t> buf;
+    codec.Encode(t, &buf);
+    size_t off = 0;
+    const Tuple full = codec.Decode(buf.data(), &off);
+    ASSERT_EQ(full, t);
+    std::vector<Value> got;
+    for (size_t c = 0; c < ncols; ++c) {
+      codec.DecodeProjected(buf.data(), {c}, &got);
+      ASSERT_EQ(got.size(), 1u);
+      EXPECT_EQ(got[0].is_null(), full.at(c).is_null()) << "column " << c;
+      EXPECT_EQ(got[0], full.at(c)) << "column " << c;
+      const uint8_t* field = buf.data() + codec.FieldOffset(buf.data(), c);
+      EXPECT_EQ(TupleCodec::FieldValue(field, MixedTypes()[c]), full.at(c));
+    }
+    // Any order, repeats allowed; nothing asked for yields nothing.
+    codec.DecodeProjected(buf.data(), {5, 0, 5, 2}, &got);
+    EXPECT_EQ(got, (std::vector<Value>{full.at(5), full.at(0), full.at(5),
+                                       full.at(2)}));
+    codec.DecodeProjected(buf.data(), {}, &got);
+    EXPECT_TRUE(got.empty());
+  }
+}
+
+TEST(TupleCodecTest, FieldReadersAndSizes) {
+  TupleCodec codec({TypeId::kInt, TypeId::kString, TypeId::kDouble,
+                    TypeId::kString, TypeId::kInt});
+  Tuple t({Value(int64_t{-7}), Value(std::string("\x80\xff")), Value(-0.5),
+           Value(std::string()), Value()});
+  std::vector<uint8_t> buf;
+  codec.Encode(t, &buf);
+  const uint8_t* rec = buf.data();
+  EXPECT_EQ(codec.FieldOffset(rec, 0), 0u);
+  EXPECT_EQ(codec.FieldOffset(rec, 1), 9u);
+  EXPECT_EQ(codec.FieldOffset(rec, 2), 16u);
+  EXPECT_EQ(codec.FieldOffset(rec, 3), 25u);
+  EXPECT_EQ(codec.FieldOffset(rec, 4), 30u);
+  EXPECT_EQ(TupleCodec::FieldInt(rec), -7);
+  EXPECT_EQ(TupleCodec::FieldString(rec + 9), std::string("\x80\xff"));
+  EXPECT_EQ(TupleCodec::FieldDouble(rec + 16), -0.5);
+  EXPECT_EQ(TupleCodec::FieldString(rec + 25), std::string());
+  EXPECT_TRUE(TupleCodec::FieldIsNull(rec + 30));
+  EXPECT_EQ(30u + TupleCodec::FieldSize(rec + 30, TypeId::kInt), buf.size());
+}
 
 // --------------------------------------------------------------- HeapTable
 
@@ -544,6 +630,141 @@ TEST(HeapSlotDirectoryTest, SlotPastAPartlyFilledTailPageIsNotFound) {
   // A full page's slot count is out of range there too.
   const uint32_t full_slots = static_cast<uint32_t>(by_page[0].size());
   EXPECT_TRUE(heap.Fetch(Rid{0, full_slots}, nullptr).status().IsNotFound());
+}
+
+// ------------------------------------------------- HeapTable projections
+
+/// A multi-page heap of random MixedTypes() rows with every fifth row (and
+/// all of page 1) tombstoned.
+struct ChurnedHeap {
+  PageStore store;
+  HeapTable heap{"t", TupleCodec(MixedTypes()), &store};
+
+  explicit ChurnedHeap(uint64_t seed, int rows = 600) {
+    Rng rng(seed);
+    std::vector<Rid> rids;
+    for (int i = 0; i < rows; ++i) {
+      rids.push_back(heap.Append(RandomMixedRow(&rng)));
+    }
+    for (size_t i = 0; i < rids.size(); ++i) {
+      if (i % 5 == 0 || rids[i].page_ordinal == 1) {
+        EXPECT_TRUE(heap.Delete(rids[i], nullptr).ok());
+      }
+    }
+  }
+};
+
+TEST(HeapTableTest, ProjectedScansMatchWholeRowScan) {
+  ChurnedHeap h(7);
+  ASSERT_GT(h.heap.num_pages(), 3u);
+  std::vector<Tuple> rows;
+  std::vector<Rid> rids;
+  std::vector<PageId> full_touches;
+  {
+    auto cur = h.heap.Scan([&](PageId id) { full_touches.push_back(id); });
+    Tuple t;
+    Rid rid;
+    while (cur.Next(&t, &rid)) {
+      rows.push_back(t);
+      rids.push_back(rid);
+    }
+  }
+  ASSERT_EQ(rows.size(), h.heap.num_rows());
+  EXPECT_EQ(full_touches, h.heap.pages());
+
+  const size_t ncols = MixedTypes().size();
+  for (size_t c = 0; c < ncols; ++c) {
+    std::vector<PageId> touches;
+    auto cur = h.heap.Scan([&](PageId id) { touches.push_back(id); });
+    std::vector<Value> vals;
+    Rid rid;
+    size_t n = 0;
+    while (cur.Next({c}, &vals, &rid)) {
+      ASSERT_LT(n, rows.size());
+      EXPECT_EQ(rid, rids[n]);
+      EXPECT_EQ(vals, std::vector<Value>{rows[n].at(c)}) << "column " << c;
+      ++n;
+    }
+    EXPECT_EQ(n, rows.size());
+    EXPECT_EQ(touches, full_touches);
+  }
+  {
+    std::vector<PageId> touches;
+    auto cur = h.heap.Scan([&](PageId id) { touches.push_back(id); });
+    std::vector<Value> vals;
+    Rid rid;
+    size_t n = 0;
+    while (cur.Next({6, 1, 3}, &vals, &rid)) {
+      ASSERT_LT(n, rows.size());
+      EXPECT_EQ(vals, rows[n].Project({6, 1, 3}).values());
+      ++n;
+    }
+    EXPECT_EQ(n, rows.size());
+    EXPECT_EQ(touches, full_touches);
+  }
+  {
+    std::vector<PageId> touches;
+    auto cur = h.heap.Scan([&](PageId id) { touches.push_back(id); });
+    std::vector<Rid> got;
+    Rid rid;
+    while (cur.NextRid(&rid)) got.push_back(rid);
+    EXPECT_EQ(got, rids);
+    EXPECT_EQ(touches, full_touches);
+  }
+  {
+    auto cur = h.heap.Scan(nullptr);
+    const uint8_t* rec = nullptr;
+    size_t n = 0;
+    while (cur.NextRecord(&rec, nullptr)) {
+      ASSERT_LT(n, rows.size());
+      size_t off = 0;
+      EXPECT_EQ(h.heap.codec().Decode(rec, &off), rows[n]);
+      ++n;
+    }
+    EXPECT_EQ(n, rows.size());
+  }
+}
+
+TEST(HeapTableTest, ProjectedScanFiresHeapScanOncePerPage) {
+  ChurnedHeap h(11);
+  auto hits_of = [&](const std::function<void(HeapTable::Cursor*)>& drain) {
+    // Never fires: the schedule only counts.
+    FaultSpec spec;
+    spec.point = "storage.heap_scan";
+    spec.trigger = FaultSpec::Trigger::kNth;
+    spec.nth = uint64_t{1} << 40;
+    EXPECT_TRUE(FaultRegistry::Global().Arm(spec).ok());
+    auto cur = h.heap.Scan(nullptr);
+    drain(&cur);
+    uint64_t hits = FaultRegistry::Global().stats("storage.heap_scan").hits;
+    FaultRegistry::Global().DisarmAll();
+    return hits;
+  };
+  const uint64_t pages = h.heap.num_pages();
+  EXPECT_EQ(hits_of([](HeapTable::Cursor* c) {
+              Tuple t;
+              while (c->Next(&t, nullptr)) {
+              }
+            }),
+            pages);
+  EXPECT_EQ(hits_of([](HeapTable::Cursor* c) {
+              std::vector<Value> v;
+              while (c->Next({3}, &v, nullptr)) {
+              }
+            }),
+            pages);
+  EXPECT_EQ(hits_of([](HeapTable::Cursor* c) {
+              Rid r;
+              while (c->NextRid(&r)) {
+              }
+            }),
+            pages);
+  EXPECT_EQ(hits_of([](HeapTable::Cursor* c) {
+              const uint8_t* rec = nullptr;
+              while (c->NextRecord(&rec, nullptr)) {
+              }
+            }),
+            pages);
 }
 
 }  // namespace

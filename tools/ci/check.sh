@@ -220,16 +220,20 @@ step "tabbench_analyze --fault-coverage (ratchet vs fault_layers.txt)"
 
 # ----------------------------------------------------------------- ubsan
 # The util/journal layer does the repo's pointer-and-bit arithmetic (CRC32C
-# tables, varint packing, Zipf sampling, journal framing); run those suites
+# tables, varint packing, Zipf sampling, journal framing), and the storage
+# codec, heap cursors and typed ANALYZE do raw offset and length arithmetic
+# on page bytes (projected decode, in-place field reads); run those suites
 # with every UB report turned into an abort (-fno-sanitize-recover=all).
-step "util/journal suites under TABBENCH_SANITIZE=undefined"
+step "util/journal/storage/stats suites under TABBENCH_SANITIZE=undefined"
 UBSAN_DIR="${ROOT}/build-ubsan"
 cmake -B "${UBSAN_DIR}" -S "${ROOT}" -DTABBENCH_SANITIZE=undefined
 cmake --build "${UBSAN_DIR}" -j "${JOBS}" --target tabbench_tests
 "${UBSAN_DIR}/tests/tabbench_tests" --gtest_brief=1 --gtest_filter=\
 'Crc32cTest.*:CrcTrailerTest.*:JournalResumeTest.*:ReportIoTest.*'\
 ':ResultTest.*:RetryTest.*:RngTest.*:RunJournalTest.*:StatusTest.*'\
-':StringsTest.*:ZipfTest.*'
+':StringsTest.*:ZipfTest.*'\
+':TupleCodecTest.*:Seeds/CodecFuzz.*:HeapTableTest.*:HeapSlotDirectoryTest.*'\
+':StatsCollectorTest.*:StatsOracleTest.*:Seeds/StatsOracleFuzz.*'
 
 # -------------------------------------------------- thread-safety proof
 # The TB_GUARDED_BY/TB_REQUIRES annotations only carry weight under
