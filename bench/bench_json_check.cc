@@ -2,8 +2,8 @@
 // path given on the command line against the BenchJsonReport shape
 // (bench_support.h) and rejects two artifacts carrying the same benchmark
 // name, exiting non-zero on the first violation. CI runs this right after
-// the bench smoke so a malformed or name-colliding artifact fails the
-// `vectorized` stage instead of silently poisoning later trajectory diffs
+// the bench smoke so a malformed or name-colliding artifact fails that
+// stage instead of silently poisoning later trajectory diffs
 // (a duplicated name would make trajectory plots average two runs).
 
 #include <cstdio>

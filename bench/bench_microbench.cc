@@ -205,9 +205,8 @@ BENCHMARK(BM_CollectTableStats);
 /// ExecContext::CheckTimeout on a live, untraced context: the check every
 /// operator makes per row.
 void BM_CheckTimeout(benchmark::State& state) {
-  PageStore store;
   BufferPool pool(16);
-  ExecContext ctx(&store, &pool, CostParams{});
+  ExecContext ctx(&pool, CostParams{});
   for (auto _ : state) {
     Status s = ctx.CheckTimeout();
     benchmark::DoNotOptimize(s);

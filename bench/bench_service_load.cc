@@ -5,8 +5,8 @@
 // route through the ShardRouter. Because the generator never waits for
 // completions before the next arrival (open loop), offered load keeps
 // pressing when the service saturates — exactly the regime where the
-// degradation ladder (parallelism caps, priority shedding, quarantine +
-// re-route) must hold the goal-satisfaction curve up instead of collapsing.
+// degradation ladder (priority shedding, then quarantine + re-route) must
+// hold the goal-satisfaction curve up instead of collapsing.
 //
 // Per offered-load level the harness prints the G(x)-style curve point:
 // completed throughput, goal-satisfaction fraction (wall latency under the
@@ -112,8 +112,8 @@ int main(int argc, char** argv) {
   ropts.shard.service.workers = shard_workers;
   ropts.shard.service.max_in_flight = 4 * shard_workers;
   // Overload is the *point* here: queue-depth quarantine stays far out so
-  // the ladder's first two steps (cap, shed) do the work; chaos kills
-  // exercise step 3.
+  // the ladder's first step (shedding) does the work; chaos kills exercise
+  // step 2.
   ropts.shard.health.degrade_queue_depth = 2 * shard_workers;
   ropts.shard.health.quarantine_queue_depth = 64 * shard_workers;
   ropts.shard.health.quarantine_cooldown_seconds = 0.05;

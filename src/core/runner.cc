@@ -295,21 +295,6 @@ Status OpenRunJournal(Database* db, const std::vector<std::string>& sql,
   return Status::OK();
 }
 
-/// Runs one query on the engine RunOptions selects. The two engines are
-/// bit-identical in simulated cost and result, so every caller treats the
-/// choice as opaque.
-Result<QueryResult> RunQueryWithOptions(Database* db, const std::string& q,
-                                        ExecContext* ctx,
-                                        const RunOptions& opts) {
-  if (opts.executor == QueryExecutor::kVectorized) {
-    vec::VecExecOptions vopts;
-    vopts.pool = opts.intra_query_pool;
-    vopts.max_parallelism = opts.intra_query_parallelism;
-    return db->RunWithContextVectorized(q, ctx, vopts);
-  }
-  return db->RunWithContext(q, ctx);
-}
-
 }  // namespace
 
 Result<WorkloadResult> RunWorkload(Database* db,
@@ -356,7 +341,7 @@ Result<WorkloadResult> RunWorkload(Database* db,
         att = &rec.attempt_log.back();
         ctx.set_trace(&att->trace);
       }
-      auto res = RunQueryWithOptions(db, q, &ctx, opts);
+      auto res = db->RunWithContext(q, &ctx);
       ctx.set_trace(nullptr);
       DropStaleLatchedFault();
       if (res.ok()) {
@@ -403,7 +388,7 @@ Result<WorkloadResult> RunWorkload(Database* db,
       scope.set_suppressed(true);
       for (int rep = 1; rep < std::max(1, opts.repetitions); ++rep) {
         ExecContext rep_ctx = db->MakeSessionContext(db->buffer_pool(), cost);
-        auto res = RunQueryWithOptions(db, q, &rep_ctx, opts);
+        auto res = db->RunWithContext(q, &rep_ctx);
         if (!res.ok()) {
           scope.set_suppressed(false);
           return res.status();
@@ -551,7 +536,7 @@ Result<WorkloadResult> RunWorkloadParallel(Database* db,
             r.attempts.emplace_back();
             RecordedAttempt& att = r.attempts.back();
             ctx.set_trace(&att.trace);
-            auto res = RunQueryWithOptions(db, q, &ctx, opts);
+            auto res = db->RunWithContext(q, &ctx);
             ctx.set_trace(nullptr);
             DropStaleLatchedFault();
             if (res.ok()) {

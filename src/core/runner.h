@@ -14,15 +14,6 @@
 
 namespace tabbench {
 
-/// Which engine executes each query of a workload run. Both produce
-/// bit-identical simulated costs, results, and buffer-pool state (the vec
-/// engine's determinism contract; unsupported plan shapes silently fall
-/// back to Volcano), so the choice is a wall-clock knob, not a semantic one.
-enum class QueryExecutor {
-  kVolcano,     // tuple-at-a-time iterators (exec/plan_executor.h)
-  kVectorized,  // morsel-driven batch pipelines (exec/vec/vec_executor.h)
-};
-
 struct RunOptions {
   /// Runs per query; timings are averaged. The paper performs three runs of
   /// non-timeout queries and one of timeout queries (Section 4.1). Our
@@ -60,15 +51,6 @@ struct RunOptions {
   /// kind, scale, configuration label, …) so `tabbench resume <journal>`
   /// can rebuild the run with no other inputs.
   std::map<std::string, std::string> journal_metadata;
-  /// Execution engine per query (see QueryExecutor above).
-  QueryExecutor executor = QueryExecutor::kVolcano;
-  /// kVectorized only: helper pool for intra-query morsel parallelism.
-  /// nullptr runs every morsel on the query's own thread (serial
-  /// vectorized). Helpers are submitted through the pool's admission
-  /// control, so a loaded pool degrades smoothly toward serial.
-  ThreadPool* intra_query_pool = nullptr;
-  /// kVectorized only: helper-job cap per morsel phase; 0 = pool width.
-  size_t intra_query_parallelism = 0;
 };
 
 /// The ResumeFrom(journal) option: journal to `path` and pick up any

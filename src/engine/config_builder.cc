@@ -253,7 +253,7 @@ Result<BuildReport> Database::ApplyConfiguration(const Configuration& config) {
   TB_FAULT_POINT("engine.apply_config");
   TB_RETURN_IF_ERROR(ResetToPrimary());
   BuildReport report;
-  ExecContext ctx(&store_, &pool_, BuildParams(options_.cost));
+  ExecContext ctx(&pool_, BuildParams(options_.cost));
 
   // Views first so that indexes over them can find their heaps.
   for (const auto& vd : config.views) {

@@ -49,7 +49,7 @@ Status Database::FinishLoad() {
     idx.target = def.name;
     idx.columns = def.primary_key;
     idx.is_primary = true;
-    ExecContext ctx(&store_, &pool_, options_.cost);
+    ExecContext ctx(&pool_, options_.cost);
     TB_RETURN_IF_ERROR(BuildIndex(idx, &ctx, &pk_indexes_));
   }
   current_config_.name = "P";
@@ -89,7 +89,7 @@ Result<double> Database::TimedInsert(const std::string& table, Tuple row,
                   table.c_str(), row.size(), def->num_columns()));
   }
   HeapTable* heap = it->second.get();
-  ExecContext ctx(&store_, &pool_, options_.cost);
+  ExecContext ctx(&pool_, options_.cost);
   // Single-row DML is random I/O throughout.
   PageTouchFn touch = [&ctx](PageId id) { ctx.TouchPageRandom(id); };
 
@@ -132,7 +132,7 @@ Result<double> Database::TimedDelete(const std::string& table,
   auto it = tables_.find(table);
   if (it == tables_.end()) return Status::NotFound("table " + table);
   HeapTable* heap = it->second.get();
-  ExecContext ctx(&store_, &pool_, options_.cost);
+  ExecContext ctx(&pool_, options_.cost);
   PageTouchFn touch = [&ctx](PageId id) { ctx.TouchPageRandom(id); };
 
   // The old values are needed to find the row's index entries.
@@ -177,7 +177,7 @@ Result<double> Database::TimedUpdate(const std::string& table, const Rid& rid,
                   table.c_str(), new_row.size(), def->num_columns()));
   }
   HeapTable* heap = it->second.get();
-  ExecContext ctx(&store_, &pool_, options_.cost);
+  ExecContext ctx(&pool_, options_.cost);
   PageTouchFn touch = [&ctx](PageId id) { ctx.TouchPageRandom(id); };
 
   Tuple old_row;
@@ -273,15 +273,13 @@ Result<QueryResult> Database::Run(const std::string& sql) {
   }
   PhysicalPlan plan;
   TB_ASSIGN_OR_RETURN(plan, Plan(sql));
-  ExecContext ctx(&store_, &pool_, options_.cost);
+  ExecContext ctx(&pool_, options_.cost);
   return ExecutePlan(plan, *this, &ctx);
 }
 
 ExecContext Database::MakeSessionContext(BufferPool* session_pool,
                                          CostParams params) const {
-  // Query execution never writes through the context's store handle; the
-  // cast only threads the shared simulated disk into a read-only context.
-  return ExecContext(const_cast<PageStore*>(&store_), session_pool, params);
+  return ExecContext(session_pool, params);
 }
 
 Result<QueryResult> Database::RunWithContext(const std::string& sql,
@@ -295,31 +293,14 @@ Result<QueryResult> Database::RunWithContext(const std::string& sql,
   return ExecutePlan(plan, *this, ctx);
 }
 
-Result<QueryResult> Database::RunWithContextVectorized(
-    const std::string& sql, ExecContext* ctx,
-    const vec::VecExecOptions& vec) const {
-  TB_FAULT_POINT("engine.query");
-  if (!stats_ready_) {
-    return Status::Internal("statistics not collected; call FinishLoad()");
-  }
-  PhysicalPlan plan;
-  TB_ASSIGN_OR_RETURN(plan, Plan(sql));
-  auto r = vec::ExecutePlanVectorized(plan, *this, ctx, vec);
-  // The vec compiler rejects unsupported shapes before charging anything,
-  // so the Volcano executor can run the query from a clean context.
-  if (!r.ok() && r.status().IsUnsupported()) {
-    return ExecutePlan(plan, *this, ctx);
-  }
-  return r;
-}
-
 Result<Database::AnalyzedRun> Database::RunAnalyze(const std::string& sql) {
+  TB_FAULT_POINT("engine.query");
   if (!stats_ready_) {
     return Status::Internal("statistics not collected; call FinishLoad()");
   }
   AnalyzedRun out;
   TB_ASSIGN_OR_RETURN(out.plan, Plan(sql));
-  ExecContext ctx(&store_, &pool_, options_.cost);
+  ExecContext ctx(&pool_, options_.cost);
   TB_ASSIGN_OR_RETURN(out.result, ExecutePlanAnalyze(&out.plan, *this, &ctx));
   return out;
 }

@@ -11,7 +11,6 @@
 #include "catalog/configuration.h"
 #include "exec/exec_context.h"
 #include "exec/plan_executor.h"
-#include "exec/vec/vec_executor.h"
 #include "optimizer/config_view.h"
 #include "optimizer/whatif.h"
 #include "sql/binder.h"
@@ -164,8 +163,7 @@ class Database : public ObjectResolver {
   Result<QueryResult> Run(const std::string& sql);
 
   /// Builds an ExecContext whose page accounting goes to `session_pool` — a
-  /// session's private buffer-pool view — instead of the shared pool. The
-  /// storage it routes over is the database's (read-only under queries).
+  /// session's private buffer-pool view — instead of the shared pool.
   ExecContext MakeSessionContext(BufferPool* session_pool,
                                  CostParams params) const;
 
@@ -178,16 +176,6 @@ class Database : public ObjectResolver {
   /// the parallel workload runners (src/core/runner.h).
   Result<QueryResult> RunWithContext(const std::string& sql,
                                      ExecContext* ctx) const;
-
-  /// Like RunWithContext, but runs the morsel-driven vectorized engine
-  /// (src/exec/vec/) when the plan shape supports it, with `vec` carrying
-  /// the thread pool and per-query parallelism budget. Unsupported plan
-  /// shapes fall back to the Volcano executor transparently. Simulated
-  /// costs, results, pool state, and timeout behavior are bit-identical to
-  /// RunWithContext either way (the vec engine's determinism contract).
-  Result<QueryResult> RunWithContextVectorized(
-      const std::string& sql, ExecContext* ctx,
-      const vec::VecExecOptions& vec) const;
 
   /// Optimizes only; returns the chosen plan with E(q, C_current).
   /// Read-only and safe to call concurrently (planning consults only the

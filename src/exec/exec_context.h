@@ -81,8 +81,8 @@ inline ReplayOutcome ReplayTrace(const AccessTrace& trace, BufferPool* pool,
 /// advanced single-threaded.
 class ExecContext {
  public:
-  ExecContext(PageStore* store, BufferPool* pool, CostParams params)
-      : store_(store), pool_(pool), params_(params) {}
+  ExecContext(BufferPool* pool, CostParams params)
+      : pool_(pool), params_(params) {}
 
   /// Declares a *sequential* access to `id`: LRU bookkeeping plus a
   /// streaming I/O charge on miss.
@@ -169,7 +169,7 @@ class ExecContext {
   void set_enforce_timeout(bool enforce) { enforce_timeout_ = enforce; }
 
   /// Aborts execution (as a timeout) once simulated time passes `budget`,
-  /// independent of enforce_timeout(). Trace-recording runs use this to
+  /// independent of set_enforce_timeout(). Trace-recording runs use this to
   /// avoid executing doomed queries to completion: an LRU replay of the
   /// trace from *any* starting pool saves at most `pool capacity` first-
   /// touch hits versus the cold recording run, so once the cold clock is
@@ -180,12 +180,7 @@ class ExecContext {
   double sim_time() const { return sim_time_; }
   uint64_t pages_read() const { return pages_read_; }
   uint64_t tuples_processed() const { return tuples_; }
-  bool enforce_timeout() const { return enforce_timeout_; }
-  double record_budget() const { return record_budget_; }
-  const CancellationToken& cancellation_token() const { return cancel_; }
   const CostParams& params() const { return params_; }
-  PageStore* store() const { return store_; }
-  BufferPool* pool() const { return pool_; }
 
  private:
   /// Trace bookkeeping for CheckTimeout(). Two rewrites keep traces small
@@ -222,7 +217,6 @@ class ExecContext {
     trace_->push_back({TraceEvent::Kind::kTimeoutCheck, 0});
   }
 
-  PageStore* store_;
   BufferPool* pool_;
   CostParams params_;
   CancellationToken cancel_;

@@ -69,8 +69,6 @@ using InSet = std::shared_ptr<const std::unordered_set<Value, ValueHash>>;
 using InSets = std::vector<InSet>;
 
 /// Compiles a node's residual predicates against its output slot layout.
-/// Shared between the Volcano operators and the vectorized pipeline
-/// compiler so both executors evaluate identical predicate programs.
 Result<std::vector<CompiledPred>> CompilePreds(const PlanNode& node,
                                                const InSets& in_sets);
 
@@ -100,7 +98,7 @@ Result<InSet> MaterializeInSet(const InSetSpec& spec,
                                const ObjectResolver& resolver,
                                ExecContext* ctx);
 
-/// The IN-set prelude both executors run before building their operators:
+/// The IN-set prelude ExecutePlan runs before building its operators:
 /// materializes every spec of `plan`, in order, into *in_sets. Returns the
 /// query's timed-out result when a scan trips the timeout, nullopt when
 /// every set is ready, and any other failure as an error.

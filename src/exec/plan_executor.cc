@@ -52,6 +52,10 @@ Result<QueryResult> ExecutePlanImpl(const PhysicalPlan& plan,
     return open;
   }
   Tuple t;
+  // Polls through the virtual Operator::Next: the operators call
+  // ExecContext::CheckTimeout (which observes the cancellation token) per
+  // row, but the pass cannot resolve a virtual call to their bodies.
+  // NOLINTNEXTLINE(tabbench-cancellation-poll)
   for (;;) {
     auto more = root->Next(&t);
     if (!more.ok()) {

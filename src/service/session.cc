@@ -27,18 +27,7 @@ Result<QueryResult> Session::Execute(const std::string& sql,
   }
   ExecContext ctx = db_->MakeSessionContext(&pool_, params);
   ctx.set_cancellation_token(std::move(cancel));
-  Result<QueryResult> res = [&] {
-    if (options_.intra_query_parallelism > 0) {
-      const size_t cap = parallelism_cap_.load(std::memory_order_relaxed);
-      vec::VecExecOptions vopts;
-      vopts.pool = options_.intra_query_pool;
-      vopts.max_parallelism =
-          cap > 0 ? std::min(options_.intra_query_parallelism, cap)
-                  : options_.intra_query_parallelism;
-      return db_->RunWithContextVectorized(sql, &ctx, vopts);
-    }
-    return db_->RunWithContext(sql, &ctx);
-  }();
+  Result<QueryResult> res = db_->RunWithContext(sql, &ctx);
   if (res.ok()) {
     queries_run_.fetch_add(1, std::memory_order_relaxed);
     clock_seconds_.store(clock_seconds() + res->sim_seconds,

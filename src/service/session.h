@@ -7,7 +7,6 @@
 
 #include "engine/database.h"
 #include "util/cancellation.h"
-#include "util/thread_pool.h"
 
 namespace tabbench {
 
@@ -18,16 +17,6 @@ struct SessionOptions {
   /// Default per-query deadline in *simulated* seconds, folded into the
   /// paper's 30-minute timeout as min(timeout, deadline); <= 0 disables.
   double deadline_seconds = -1.0;
-  /// Intra-query parallelism budget: > 0 executes this session's queries on
-  /// the morsel-driven vectorized engine with up to this many helper jobs
-  /// per morsel phase, drawn from `intra_query_pool`. Helpers go through
-  /// the pool's admission control (a loaded service degrades the query
-  /// toward serial, never deadlocks), and simulated costs stay bit-identical
-  /// to the Volcano path. 0 (default) keeps the Volcano executor.
-  size_t intra_query_parallelism = 0;
-  /// Pool supplying those helpers; WorkloadService::OpenSession fills in
-  /// its own worker pool when the budget is set and this is null.
-  ThreadPool* intra_query_pool = nullptr;
 };
 
 /// One client's execution state against a shared database: a private
@@ -77,18 +66,6 @@ class Session {
   const Database* db() const { return db_; }
   const SessionOptions& options() const { return options_; }
 
-  /// Caps the effective intra-query parallelism below the session option
-  /// (degradation-ladder step 1: a pressured shard drops its sessions to
-  /// serial execution without reopening them). 0 removes the cap. An atomic
-  /// so monitors may move the cap while the session's single executing
-  /// thread reads it; takes effect at the next Execute.
-  void set_parallelism_cap(size_t cap) {
-    parallelism_cap_.store(cap, std::memory_order_relaxed);
-  }
-  size_t parallelism_cap() const {
-    return parallelism_cap_.load(std::memory_order_relaxed);
-  }
-
  private:
   // Deliberately no Mutex / TB_GUARDED_BY here: the service's strand
   // invariant means at most one thread executes inside a session at a
@@ -102,7 +79,6 @@ class Session {
   std::atomic<double> clock_seconds_{0.0};
   std::atomic<uint64_t> queries_run_{0};
   std::atomic<uint64_t> timeouts_{0};
-  std::atomic<size_t> parallelism_cap_{0};  // 0 = uncapped
 };
 
 }  // namespace tabbench

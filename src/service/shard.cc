@@ -48,23 +48,13 @@ uint64_t Shard::kill_epoch() const {
 
 void Shard::RecordLatency(double seconds) { latency_.Record(seconds); }
 
-void Shard::ApplyCapLocked(ShardHealth to) {
-  // Ladder step 1. Only the healthy<->degraded boundary matters: a
-  // quarantined shard serves nothing, and a recovering shard keeps the cap
-  // until its probes prove it out.
-  service_->CapSessionParallelism(to == ShardHealth::kHealthy ? 0 : 1);
-}
-
 Shard::Transition Shard::TransitionLocked(ShardHealth to, std::string reason) {
   Transition t;
   t.from = health_;
   t.to = to;
   t.reason = std::move(reason);
   t.changed = health_ != to;
-  if (t.changed) {
-    health_ = to;
-    ApplyCapLocked(to);
-  }
+  if (t.changed) health_ = to;
   return t;
 }
 
@@ -166,7 +156,6 @@ Shard::ProbeVerdict Shard::FinishProbe(bool success, double now) {
     health_ = ShardHealth::kHealthy;
     probes_in_flight_ = 0;
     probe_successes_ = 0;
-    ApplyCapLocked(ShardHealth::kHealthy);
     return ProbeVerdict::kReadmitted;
   }
   return ProbeVerdict::kPending;
@@ -179,7 +168,6 @@ void Shard::Kill(double now) {
   probes_in_flight_ = 0;
   probe_successes_ = 0;
   health_ = ShardHealth::kQuarantined;
-  ApplyCapLocked(ShardHealth::kQuarantined);
   // Cancel every attempt the shard is serving: their futures resolve
   // Cancelled, and the router (seeing the epoch bump) fails them over to a
   // sibling instead of reporting the cancel to the client. RequestCancel is

@@ -67,10 +67,10 @@ class ManualServiceClock : public ServiceClock {
 ///        |   any probe fails                    | probe quota succeeds
 ///        +--------------------------------------+--> kHealthy (readmit)
 ///
-/// Degraded shards keep serving but with session parallelism capped to 1
-/// (ladder step 1) and low-priority load shed by the router (step 2).
-/// Quarantined shards serve nothing; their domains re-route to siblings
-/// (step 3). Recovering shards serve only a bounded probe quota.
+/// Degraded shards keep serving but have low-priority load shed by the
+/// router (ladder step 1). Quarantined shards serve nothing; their domains
+/// re-route to siblings (step 2). Recovering shards serve only a bounded
+/// probe quota.
 enum class ShardHealth { kHealthy, kDegraded, kQuarantined, kRecovering };
 
 const char* ShardHealthName(ShardHealth health);
@@ -163,8 +163,7 @@ class Shard {
   /// Re-evaluates healthy <-> degraded and the escalation to quarantined
   /// from the live signals (latency digest, queue depth, breaker-open and
   /// watchdog-cancel deltas). Never touches quarantined/recovering shards —
-  /// those only move through the probe path or Kill(). Applies ladder step
-  /// 1 side effects (session parallelism cap) on the transitions.
+  /// those only move through the probe path or Kill().
   Transition EvaluateHealth(double now) TB_EXCLUDES(mu_);
 
   /// Opens the probe window once the quarantine cooldown has elapsed
@@ -201,9 +200,6 @@ class Shard {
  private:
   Transition TransitionLocked(ShardHealth to, std::string reason)
       TB_REQUIRES(mu_);
-  /// Ladder step 1: cap session parallelism at 1 while degraded (or worse),
-  /// lift the cap when healthy again.
-  void ApplyCapLocked(ShardHealth to) TB_REQUIRES(mu_);
 
   const uint32_t id_;
   const ShardOptions options_;
@@ -211,8 +207,9 @@ class Shard {
   const std::unique_ptr<WorkloadService> service_;
   StreamingStats latency_;
 
-  /// Health-machine lock. Held while reading the service's counters and
-  /// applying the parallelism cap, hence ordered before the service lock.
+  /// Health-machine lock, ordered before the service lock (EvaluateHealth
+  /// snapshots the service's counters before taking it, so today the two
+  /// never nest).
   /// (The router's lock, when present, is ordered before this one; see
   /// ShardRouter::mu_.)
   mutable Mutex mu_ TB_ACQUIRED_BEFORE("WorkloadService::mu_");

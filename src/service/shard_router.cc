@@ -251,7 +251,7 @@ ShardRouter::Target ShardRouter::AcquireTargetLocked(
   }
 
   Shard* chosen = shards_[ds.shard].get();
-  // Ladder step 2: a degraded shard sheds its lowest-priority load.
+  // Ladder step 1: a degraded shard sheds its lowest-priority load.
   if (priority < options_.shed_below_priority &&
       chosen->health() == ShardHealth::kDegraded) {
     ++stats_.shed;

@@ -48,7 +48,7 @@ struct ShardRouterOptions {
   /// Route each domain's jobs onto a long-lived session on its current
   /// shard (warm-cache affinity). When false every job runs sessionless.
   bool use_domain_sessions = true;
-  /// Ladder step 2: when a job's target shard is degraded, submissions with
+  /// Ladder step 1: when a job's target shard is degraded, submissions with
   /// priority below this are shed with kUnavailable and a machine-readable
   /// retry hint (RetryAfterHintSeconds). Default priority is 1, so priority
   /// 0 marks sheddable background work out of the box.
@@ -86,7 +86,7 @@ struct RouterStats {
   uint64_t submitted = 0;       // admitted jobs
   uint64_t completed = 0;       // admitted jobs resolved (any status)
   uint64_t rejected = 0;        // admission-cap / shutdown / fault bounces
-  uint64_t shed = 0;            // ladder step 2 rejections
+  uint64_t shed = 0;            // ladder step 1 rejections
   uint64_t failovers = 0;       // dispatch attempts moved to a sibling
   uint64_t kills = 0;           // chaos kills (KillShard + injected)
   uint64_t quarantines = 0;     // transitions into kQuarantined
@@ -108,10 +108,9 @@ double RetryAfterHintSeconds(const Status& status);
 /// sibling shards when their shard dies under them, and walks the graceful
 /// degradation ladder as per-shard health decays:
 ///
-///   step 1  degraded shards cap session parallelism at 1 (Shard);
-///   step 2  degraded shards shed low-priority load with kUnavailable and a
+///   step 1  degraded shards shed low-priority load with kUnavailable and a
 ///           retry-after hint;
-///   step 3  quarantined shards serve nothing — their domains re-route to
+///   step 2  quarantined shards serve nothing — their domains re-route to
 ///           siblings — until a cooldown plus a quota of successful probes
 ///           re-admits them.
 ///

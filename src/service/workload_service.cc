@@ -490,19 +490,8 @@ std::future<Result<ShadowIndexBuildResult>> WorkloadService::SubmitIndexBuild(
 SessionId WorkloadService::OpenSession(SessionOptions options) {
   MutexLock lock(&mu_);
   if (shutdown_) return kNoSession;
-  // Vectorized sessions draw their morsel helpers from the service's own
-  // worker pool unless the caller supplied one: intra-query parallelism
-  // then competes with job scheduling under the same admission control.
-  if (options.intra_query_parallelism > 0 &&
-      options.intra_query_pool == nullptr) {
-    options.intra_query_pool = &pool_;
-  }
   SessionId id = next_session_++;
-  auto st = std::make_unique<SessionState>(db_, options);
-  if (session_parallelism_cap_ > 0) {
-    st->session.set_parallelism_cap(session_parallelism_cap_);
-  }
-  sessions_.emplace(id, std::move(st));
+  sessions_.emplace(id, std::make_unique<SessionState>(db_, options));
   return id;
 }
 
@@ -534,14 +523,6 @@ ServiceStats WorkloadService::stats() const {
 uint64_t WorkloadService::in_flight() const {
   MutexLock lock(&mu_);
   return in_flight_;
-}
-
-void WorkloadService::CapSessionParallelism(size_t cap) {
-  MutexLock lock(&mu_);
-  session_parallelism_cap_ = cap;
-  // set_parallelism_cap is an atomic store, so touching the Session here
-  // does not violate the strand invariant (mu_ guards the map walk only).
-  for (auto& [id, st] : sessions_) st->session.set_parallelism_cap(cap);
 }
 
 Status WorkloadService::SubmitRaw(std::function<void()> task) {

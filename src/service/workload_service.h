@@ -183,12 +183,6 @@ class WorkloadService {
   /// the degradation ladder read.
   uint64_t in_flight() const TB_EXCLUDES(mu_);
 
-  /// Applies a parallelism cap to every live session (and sessions opened
-  /// later, until the cap is lifted with 0): degradation-ladder step 1.
-  /// Does not touch ephemeral sessionless jobs, which never parallelize
-  /// beyond ServiceOptions::session anyway.
-  void CapSessionParallelism(size_t cap) TB_EXCLUDES(mu_);
-
   /// Chaos hook: occupies one worker with `task`, bypassing admission
   /// control, the breaker, and the journal. The overload harness uses it to
   /// wedge a shard's workers (a "stalled shard") so queued jobs pile up
@@ -264,9 +258,6 @@ class WorkloadService {
   bool shutdown_ TB_GUARDED_BY(mu_) = false;
   uint64_t in_flight_ TB_GUARDED_BY(mu_) = 0;
   SessionId next_session_ TB_GUARDED_BY(mu_) = 1;
-  /// Current ladder-step-1 cap (0 = none), re-applied to sessions opened
-  /// while it is in force.
-  size_t session_parallelism_cap_ TB_GUARDED_BY(mu_) = 0;
   /// The map (membership, strand queues, flags) is guarded by mu_. The
   /// Session object *inside* a SessionState is deliberately not: exactly one
   /// drain job touches it at a time (the strand invariant), outside mu_.

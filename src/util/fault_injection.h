@@ -35,11 +35,8 @@ namespace tabbench {
 ///   storage.btree_descend  BTree::FindLeaf (latched)
 ///   engine.finish_load     Database::FinishLoad (direct)
 ///   engine.apply_config    Database::ApplyConfiguration (direct)
-///   engine.query           Database::Run / RunWithContext entry (direct)
-///   exec.vec.morsel        VecExecutor morsel body entry (direct; fires
-///                          only on the thread that owns the FaultScope —
-///                          helper threads carry no scope, so schedules
-///                          stay attempt-granular under parallelism)
+///   engine.query           Database::Run / RunWithContext / RunAnalyze
+///                          entry (direct)
 ///   util.task_spawn        ThreadPool::Submit (direct)
 ///   service.session_execute Session::Execute entry (direct)
 ///

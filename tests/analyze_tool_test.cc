@@ -8,6 +8,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analyzer.h"
@@ -1113,10 +1114,10 @@ TEST(AnalyzeSuppressions, NolintSilencesTheConcurrencyRules) {
 
 // -------------------------------------------- acceptance: the real tree
 //
-// The contract the ISSUE states: the analyzer keeps the *actual* morsel
-// scheduler honest. Unmodified, it is clean; deliberately de-annotating
-// its guarded run state, or removing the claim loop's cancellation poll,
-// must surface as fresh findings a strict baseline run would reject.
+// The analyzer keeps the *actual* service watchdog honest. Unmodified, it
+// is clean; deliberately de-annotating its guarded state, or removing its
+// tick loop's stop and cancellation polls, must surface as fresh findings a
+// strict baseline run would reject.
 
 std::string ReadRealFile(const std::string& rel) {
   std::ifstream in(std::string(TABBENCH_SOURCE_DIR) + "/" + rel);
@@ -1136,34 +1137,47 @@ std::string ReplaceAll(std::string text, const std::string& from,
   return text;
 }
 
-TEST(AnalyzeAcceptance, RealMorselSchedulerIsClean) {
-  auto findings = RunAnalyze(
-      {{"src/exec/vec/morsel_scheduler.cc",
-        ReadRealFile("src/exec/vec/morsel_scheduler.cc")}});
+std::vector<SourceFile> RealWatchdog(const std::string& header,
+                                     const std::string& source) {
+  return {{"src/service/watchdog.h", header},
+          {"src/service/watchdog.cc", source}};
+}
+
+TEST(AnalyzeAcceptance, RealWatchdogIsClean) {
+  auto findings =
+      RunAnalyze(RealWatchdog(ReadRealFile("src/service/watchdog.h"),
+                              ReadRealFile("src/service/watchdog.cc")));
   EXPECT_TRUE(findings.empty()) << ToText(findings);
 }
 
-TEST(AnalyzeAcceptance, DeannotatingTheRunStateSurfacesLocksetFindings) {
+TEST(AnalyzeAcceptance, DeannotatingTheWatchdogSurfacesLocksetFindings) {
   const std::string stripped =
-      ReplaceAll(ReadRealFile("src/exec/vec/morsel_scheduler.cc"),
-                 " TB_GUARDED_BY(mu)", "");
-  auto findings =
-      RunAnalyze({{"src/exec/vec/morsel_scheduler.cc", stripped}});
-  // charge_sum / error_index / error are all only ever touched under mu:
-  // stripping the annotations must yield re-annotation suggestions.
+      ReplaceAll(ReadRealFile("src/service/watchdog.h"),
+                 " TB_GUARDED_BY(mu_)", "");
+  auto findings = RunAnalyze(
+      RealWatchdog(stripped, ReadRealFile("src/service/watchdog.cc")));
+  // stop_ / next_id_ / fires_ / watches_ / wake_ are all only ever touched
+  // under mu_: stripping the annotations must yield re-annotation
+  // suggestions.
   EXPECT_GE(CountRule(findings, "tabbench-lockset-unannotated"), 3u)
       << ToText(findings);
   // ... and a strict baseline run (empty baseline) rejects them.
   EXPECT_FALSE(DiffBaseline(findings, {}).fresh.empty());
 }
 
-TEST(AnalyzeAcceptance, RemovingTheClaimLoopPollSurfacesLiveness) {
-  std::string depolled = ReadRealFile("src/exec/vec/morsel_scheduler.cc");
-  depolled = ReplaceAll(depolled, "st->stop.load(std::memory_order_acquire)",
-                        "false");
-  depolled = ReplaceAll(depolled, "st->cancel.cancelled()", "false");
-  auto findings =
-      RunAnalyze({{"src/exec/vec/morsel_scheduler.cc", depolled}});
+TEST(AnalyzeAcceptance, RemovingTheWatchdogTickPollsSurfacesLiveness) {
+  std::string depolled = ReadRealFile("src/service/watchdog.cc");
+  for (const auto& [from, to] : std::vector<std::pair<std::string, std::string>>{
+           {"!stop_ && ", ""},
+           {"if (stop_) return;", ""},
+           {"CancellationToken wake;", "Token wake;"},
+           {"SleepWithCancellation(", "SleepFor("},
+           {"w.upstream->cancelled()", "false"}}) {
+    ASSERT_NE(depolled.find(from), std::string::npos) << from;
+    depolled = ReplaceAll(depolled, from, to);
+  }
+  auto findings = RunAnalyze(
+      RealWatchdog(ReadRealFile("src/service/watchdog.h"), depolled));
   EXPECT_GE(CountRule(findings, "tabbench-cancellation-poll"), 1u)
       << ToText(findings);
   EXPECT_FALSE(DiffBaseline(findings, {}).fresh.empty());
@@ -1814,24 +1828,24 @@ TEST(AnalyzeFaultNaming, LayerMismatchAndFormatViolationsTrip) {
 TEST(AnalyzeFaultNaming, UnderscoreLayerNamesMatchDottedPrefixes) {
   Options opts;
   std::string err;
-  ASSERT_TRUE(ParseLayerSpec("layer exec_vec: src/exec/vec\n", &opts.layers,
+  ASSERT_TRUE(ParseLayerSpec("layer net_io: src/net/io\n", &opts.layers,
                              &err))
       << err;
-  // Both spellings name the layer: exec_vec.claim and exec.vec.claim.
+  // Both spellings name the layer: net_io.claim and net.io.read.
   const std::vector<SourceFile> quiet = {
-      {"src/exec/vec/m.cc",
+      {"src/net/io/m.cc",
        "namespace tabbench {\n"
        "int Claim() {\n"
-       "  TB_FAULT_POINT(\"exec.vec.morsel\");\n"
-       "  TB_FAULT_POINT(\"exec_vec.claim\");\n"
+       "  TB_FAULT_POINT(\"net.io.read\");\n"
+       "  TB_FAULT_POINT(\"net_io.claim\");\n"
        "  return 0;\n"
        "}\n"
        "}  // namespace tabbench\n"}};
   EXPECT_TRUE(tabbench_analyze::CheckFaultCoverage(quiet, opts.layers,
-                                                   "exec_vec 2\n")
+                                                   "net_io 2\n")
                   .empty());
   const std::vector<SourceFile> lying = {
-      {"src/exec/vec/m.cc",
+      {"src/net/io/m.cc",
        "namespace tabbench {\n"
        "int Claim() {\n"
        "  TB_FAULT_POINT(\"storage.claim\");\n"
@@ -1839,7 +1853,7 @@ TEST(AnalyzeFaultNaming, UnderscoreLayerNamesMatchDottedPrefixes) {
        "}\n"
        "}  // namespace tabbench\n"}};
   const auto violations = tabbench_analyze::CheckFaultCoverage(
-      lying, opts.layers, "exec_vec 1\n");
+      lying, opts.layers, "net_io 1\n");
   ASSERT_EQ(violations.size(), 1u);
   EXPECT_NE(violations[0].find("storage.claim"), std::string::npos)
       << violations[0];
@@ -1901,7 +1915,7 @@ TEST(CpptokRawStrings, IdentifierEndingInPrefixLettersIsNotARawIntro) {
 
 // ------------------------------- acceptance: the real durability paths
 //
-// Same contract as the morsel-scheduler block above, now for the CFG
+// Same contract as the watchdog block above, now for the CFG
 // passes: the real journal writer and retry loop are clean as written;
 // deleting the fsync, converting the scoped lock to manual calls, or
 // dropping the post-sleep cancellation check must each come back as fresh

@@ -281,6 +281,23 @@ TEST_F(ChaosRunnerTest, RetryConvergesOnTransientFault) {
   }
 }
 
+TEST_F(ChaosRunnerTest, ExplainAnalyzeEntrySurfacesAnEngineQueryFault) {
+  // EXPLAIN ANALYZE is a query entry like Run and RunWithContext: an armed
+  // engine.query fault fails it before any work, once per scope.
+  FaultGuard guard;
+  TB_ASSERT_OK(FaultRegistry::Global().Arm(
+      Spec("engine.query", Status::Code::kUnavailable,
+           FaultSpec::Trigger::kOnce)));
+  FaultScope scope(1);
+  auto failed = db()->RunAnalyze(sql_[0]);
+  ASSERT_FALSE(failed.ok());
+  EXPECT_TRUE(failed.status().IsUnavailable()) << failed.status().ToString();
+  auto retried = db()->RunAnalyze(sql_[0]);
+  ASSERT_TRUE(retried.ok()) << retried.status().ToString();
+  EXPECT_FALSE(retried->result.rows.empty());
+  EXPECT_EQ(FaultRegistry::Global().stats("engine.query").fires, 1u);
+}
+
 TEST_F(ChaosRunnerTest, UnrecoverableFaultsAreIsolatedAndCensored) {
   FaultGuard guard;
   // kInternal is not transient: no retry helps, every query fails. The run

@@ -20,7 +20,7 @@ CostParams TestParams() {
 TEST(ExecContextTest, SequentialMissChargesScaledCost) {
   PageStore store;
   BufferPool pool(4);
-  ExecContext ctx(&store, &pool, TestParams());
+  ExecContext ctx(&pool, TestParams());
   PageId a = store.Allocate();
   ctx.TouchPage(a);
   EXPECT_DOUBLE_EQ(ctx.sim_time(), 1.0);
@@ -33,7 +33,7 @@ TEST(ExecContextTest, SequentialMissChargesScaledCost) {
 TEST(ExecContextTest, RandomMissChargesSeekCost) {
   PageStore store;
   BufferPool pool(4);
-  ExecContext ctx(&store, &pool, TestParams());
+  ExecContext ctx(&pool, TestParams());
   PageId a = store.Allocate();
   ctx.TouchPageRandom(a);
   EXPECT_DOUBLE_EQ(ctx.sim_time(), 0.01);
@@ -46,9 +46,8 @@ TEST(ExecContextTest, RandomMissChargesSeekCost) {
 }
 
 TEST(ExecContextTest, TupleAndHashCharges) {
-  PageStore store;
   BufferPool pool(4);
-  ExecContext ctx(&store, &pool, TestParams());
+  ExecContext ctx(&pool, TestParams());
   ctx.ChargeTuples(100);
   ctx.ChargeHashOps(100);
   EXPECT_DOUBLE_EQ(ctx.sim_time(), 0.1 + 0.05);
@@ -56,18 +55,16 @@ TEST(ExecContextTest, TupleAndHashCharges) {
 }
 
 TEST(ExecContextTest, ChargeIoPagesBypassesPool) {
-  PageStore store;
   BufferPool pool(4);
-  ExecContext ctx(&store, &pool, TestParams());
+  ExecContext ctx(&pool, TestParams());
   ctx.ChargeIoPages(3);
   EXPECT_DOUBLE_EQ(ctx.sim_time(), 3.0);
   EXPECT_EQ(pool.resident(), 0u);
 }
 
 TEST(ExecContextTest, TimeoutTripsOnAccumulatedCharge) {
-  PageStore store;
   BufferPool pool(4);
-  ExecContext ctx(&store, &pool, TestParams());
+  ExecContext ctx(&pool, TestParams());
   EXPECT_TRUE(ctx.CheckTimeout().ok());
   ctx.ChargeIoPages(101);  // 101 s > 100 s limit
   EXPECT_TRUE(ctx.TimedOut());
@@ -77,7 +74,7 @@ TEST(ExecContextTest, TimeoutTripsOnAccumulatedCharge) {
 TEST(ExecContextTest, EvictionMakesReaccessCostAgain) {
   PageStore store;
   BufferPool pool(2);
-  ExecContext ctx(&store, &pool, TestParams());
+  ExecContext ctx(&pool, TestParams());
   PageId a = store.Allocate(), b = store.Allocate(), c = store.Allocate();
   ctx.TouchPage(a);
   ctx.TouchPage(b);
@@ -88,9 +85,8 @@ TEST(ExecContextTest, EvictionMakesReaccessCostAgain) {
 }
 
 TEST(ExecContextTest, TraceCoalescesPerTupleChargeCheckPairs) {
-  PageStore store;
   BufferPool pool(4);
-  ExecContext ctx(&store, &pool, TestParams());
+  ExecContext ctx(&pool, TestParams());
   AccessTrace trace;
   ctx.set_trace(&trace);
 
@@ -127,10 +123,9 @@ TEST(ExecContextTest, TraceCoalescesPerTupleChargeCheckPairs) {
 TEST(ExecContextTest, ReplayAbortsMidCoalescedRunAtTheExactTuple) {
   CostParams p = TestParams();
   p.timeout_seconds = 0.0105;  // 10.5 tuple charges at 0.001 s each...
-  PageStore store;
   BufferPool pool(4);
   // ...but charge 11.5 of slack so live recording (enforcement off) runs on.
-  ExecContext ctx(&store, &pool, p);
+  ExecContext ctx(&pool, p);
   ctx.set_enforce_timeout(false);
   AccessTrace trace;
   ctx.set_trace(&trace);
@@ -147,7 +142,7 @@ TEST(ExecContextTest, ReplayAbortsMidCoalescedRunAtTheExactTuple) {
   EXPECT_TRUE(ro.timed_out);
   EXPECT_EQ(ro.sim_seconds, p.timeout_seconds);
 
-  ExecContext live(&store, &pool, p);
+  ExecContext live(&pool, p);
   int tuples = 0;
   for (int i = 0; i < 20; ++i) {
     live.ChargeTuples(1);
@@ -159,9 +154,8 @@ TEST(ExecContextTest, ReplayAbortsMidCoalescedRunAtTheExactTuple) {
 
 TEST(ExecContextTest, RecordBudgetAbortsWithTimeoutDespiteEnforcementOff) {
   CostParams p = TestParams();
-  PageStore store;
   BufferPool pool(4);
-  ExecContext ctx(&store, &pool, p);
+  ExecContext ctx(&pool, p);
   ctx.set_enforce_timeout(false);
   ctx.set_record_budget(2.0 * p.timeout_seconds);
   ctx.ChargeIoPages(150);  // past the timeout, under the budget

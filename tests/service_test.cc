@@ -1023,39 +1023,6 @@ TEST_F(ServiceDbTest, WatchdogEnforcesWallBudgetMidJob) {
       << "a watchdog stop is a timeout, not a user cancel";
 }
 
-TEST_F(ServiceDbTest, WatchdogForceCancelStopsMorselDispatch) {
-  // Regression for the vectorized path: a session with an intra-query
-  // parallelism budget routes queries through the morsel scheduler, whose
-  // workers must observe the watchdog's force-cancel of the job's private
-  // token — stop dispatching morsels, drain, and surface Cancelled — so
-  // the service can report the same watchdog Timeout as the Volcano path
-  // instead of letting in-flight morsel loops run the budget over.
-  WorkloadService service(db(), WorkerOpts(2));
-  SessionOptions so;
-  so.intra_query_parallelism = 4;
-  SessionId vec_session = service.OpenSession(so);
-  std::vector<std::string> wl(4000, std::string(kScan));
-  JobOptions jo;
-  jo.session = vec_session;
-  jo.wall_timeout_seconds = 0.05;
-  auto start = std::chrono::steady_clock::now();
-  auto r = service.SubmitWorkload(wl, jo).get();
-  double elapsed = std::chrono::duration<double>(
-                       std::chrono::steady_clock::now() - start)
-                       .count();
-  ASSERT_FALSE(r.ok());
-  EXPECT_TRUE(r.status().IsTimeout()) << r.status().ToString();
-  EXPECT_NE(r.status().ToString().find("watchdog"), std::string::npos)
-      << r.status().ToString();
-  EXPECT_LT(elapsed, 10.0) << "the morsel scheduler must drain promptly "
-                              "after the watchdog fires";
-  auto stats = service.stats();
-  EXPECT_GE(stats.watchdog_cancels, 1u);
-  EXPECT_EQ(stats.cancelled, 0u)
-      << "a watchdog stop is a timeout, not a user cancel";
-  TB_ASSERT_OK(service.CloseSession(vec_session));
-}
-
 TEST_F(ServiceDbTest, UserCancelIsNotRemappedByTheWatchdog) {
   WorkloadService service(db(), WorkerOpts(2));
   std::vector<std::string> wl(4000, std::string(kScan));

@@ -175,7 +175,7 @@ TEST_F(ShardRouterTest, CapacityRejectionCarriesRetryHint) {
   ASSERT_TRUE(r.ok()) << r.status().ToString();
 }
 
-// ----------------------------------------------------------- ladder (1 + 2)
+// ------------------------------------------------------------ ladder step 1
 
 TEST_F(ShardRouterTest, DegradationLadderShedsLowPriorityThenRecovers) {
   ShardRouterOptions opts;
@@ -200,7 +200,7 @@ TEST_F(ShardRouterTest, DegradationLadderShedsLowPriorityThenRecovers) {
   ASSERT_EQ(router.shard_health(0), ShardHealth::kDegraded);
   EXPECT_GE(router.stats().degrades, 1u);
 
-  // Ladder step 2: the degraded shard sheds priority-0 (background) load
+  // Ladder step 1: the degraded shard sheds priority-0 (background) load
   // with a machine-readable retry hint, while default-priority load is
   // still admitted.
   SubmitOptions background = so;

@@ -50,7 +50,7 @@ const std::vector<RuleInfo>& Rules() {
        "runs — directly or through resolved calls — while a mutex is "
        "held, stalling every waiter on that mutex."},
       {"tabbench-cancellation-poll",
-       "An unbounded loop in a worker surface (src/exec/vec, "
+       "An unbounded loop in a worker surface (src/exec, "
        "src/core/runner.cc, src/service) never reaches a cancellation or "
        "watchdog poll on any path; it cannot be cancelled once wedged."},
       {"tabbench-durability-ordering",

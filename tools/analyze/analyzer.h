@@ -49,7 +49,7 @@
 ///                          reachable through resolved calls, while a
 ///                          mutex is held.
 ///   7. cancellation-poll — unbounded loops (for(;;)/while(true)) in the
-///                          worker-loop surfaces (src/exec/vec/,
+///                          worker-loop surfaces (src/exec/,
 ///                          src/core/runner.cc, src/service/) must reach
 ///                          a cancellation/stop/watchdog poll, directly
 ///                          or through a callee.

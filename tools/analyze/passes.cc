@@ -1484,7 +1484,7 @@ namespace {
 
 /// The worker loops whose liveness the watchdog depends on.
 bool InCancellationScope(const std::string& path) {
-  return path.rfind("src/exec/vec/", 0) == 0 ||
+  return path.rfind("src/exec/", 0) == 0 ||
          path.rfind("src/service/", 0) == 0 ||
          path == "src/core/runner.cc";
 }
@@ -1656,8 +1656,8 @@ std::map<int, std::vector<FaultSite>> CollectFaultSites(
 /// convention; otherwise the reason it does not. `layer_name` is the
 /// declared layer of the site's file ("" for files outside every layer,
 /// which get the format check only). A layer named with underscores
-/// matches either spelling of the prefix: layer exec_vec accepts
-/// "exec_vec." and "exec.vec.".
+/// matches either spelling of the prefix: layer net_io accepts "net_io."
+/// and "net.io.".
 std::string FaultNameProblem(const std::string& name,
                              const std::string& layer_name) {
   if (name.empty()) return "missing fault-point name";

@@ -46,13 +46,16 @@ cmake -B "${TSAN_DIR}" -S "${ROOT}" -DTABBENCH_SANITIZE=thread
 cmake --build "${TSAN_DIR}" -j "${JOBS}" --target tabbench_chaos_tests
 ctest --test-dir "${TSAN_DIR}" -L chaos --output-on-failure -j "${JOBS}"
 
-# The vectorized golden suite under TSan as well: its morsel workers hammer
-# the scheduler's claim loop, the partitioned join merge, and the shared
-# fragment buffers — the exact surfaces where a data race would corrupt the
-# bit-identity contract without failing any single-threaded test.
-step "ctest -L vectorized under TABBENCH_SANITIZE=thread"
-cmake --build "${TSAN_DIR}" -j "${JOBS}" --target tabbench_vec_tests
-ctest --test-dir "${TSAN_DIR}" -L vectorized --output-on-failure -j "${JOBS}"
+# The concurrency suite under TSan: the thread pool, sessions, workload
+# service, watchdog, parallel runners, and concurrent sessions racing to
+# fill the shared IN-set memo all cross threads — the exact surfaces where
+# a data race would corrupt the serial ≡ parallel bit-identity contract
+# without failing any single-threaded test. The shard suite carries the
+# concurrency label too; it has its own TSan stage below.
+step "ctest -L concurrency under TABBENCH_SANITIZE=thread"
+cmake --build "${TSAN_DIR}" -j "${JOBS}" --target tabbench_service_tests
+ctest --test-dir "${TSAN_DIR}" -L concurrency -LE shard --output-on-failure \
+  -j "${JOBS}"
 
 # The sharded serving suite under TSan: router dispatchers, shard health
 # transitions, the watchdog force-cancel race, and the chaos kill/re-route
@@ -72,15 +75,11 @@ step "ctest -L mutation under TABBENCH_SANITIZE=thread"
 cmake --build "${TSAN_DIR}" -j "${JOBS}" --target tabbench_mutation_tests
 ctest --test-dir "${TSAN_DIR}" -L mutation --output-on-failure -j "${JOBS}"
 
-# ------------------------------------------------------------- vectorized
-# The morsel-driven vectorized engine: the golden suite proves simulated
-# costs bit-identical to the Volcano executor (ctest -L vectorized also ran
-# in the full pass above; -L scopes the re-run), then a small bench smoke
-# produces a BENCH_*.json perf-trajectory artifact and the schema gate
-# validates it — a malformed artifact fails here, not in a later diff.
-step "ctest -L vectorized"
-ctest --test-dir "${BUILD_DIR}" -L vectorized --output-on-failure -j "${JOBS}"
-
+# ------------------------------------------------------------ bench smoke
+# A small inter-query sweep (bench_parallel exits 1 if any parallel run's
+# simulated results diverge from the sequential run) produces a BENCH_*.json
+# perf-trajectory artifact and the schema gate validates it — a malformed
+# artifact fails here, not in a later diff.
 step "bench smoke: BENCH_parallel.json (emit + schema-check)"
 TABBENCH_WORKLOAD=8 TABBENCH_WORKERS=2 \
   "${BUILD_DIR}/bench/bench_parallel" \

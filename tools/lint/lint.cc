@@ -117,17 +117,16 @@ void Report(const FileState& fs, size_t line, const char* rule,
 //
 // The paper's measurements are only meaningful if A(W,C) is a function —
 // same workload, same configuration, same number — so the benchmark result
-// paths (src/core, src/engine, src/exec/vec) must not read ambient entropy
-// or wall clocks. All randomness flows through util/rng.h (explicit seed).
+// paths (src/core, src/engine, src/exec) must not read ambient entropy or
+// wall clocks. All randomness flows through util/rng.h (explicit seed).
 // ---------------------------------------------------------------------------
 
 void CheckDeterminism(const FileState& fs, std::vector<Finding>* findings) {
   const std::string& p = fs.file->path;
-  // src/exec/vec is in scope too: the vectorized engine promises simulated
-  // costs bit-identical to the Volcano executor, which an ambient-entropy
-  // or wall-clock read (e.g. in morsel scheduling) would silently break.
+  // src/exec is in scope too: the executor computes every simulated charge,
+  // which an ambient-entropy or wall-clock read would silently perturb.
   if (!StartsWith(p, "src/core/") && !StartsWith(p, "src/engine/") &&
-      !StartsWith(p, "src/exec/vec/")) {
+      !StartsWith(p, "src/exec/")) {
     return;
   }
   struct Pattern {
@@ -538,7 +537,7 @@ const std::vector<RuleInfo>& Rules() {
   static const std::vector<RuleInfo> kRules = {
       {"tabbench-determinism",
        "no ambient entropy or wall-clock reads in src/core, src/engine, and "
-       "src/exec/vec result paths; randomness flows through util/rng.h",
+       "src/exec result paths; randomness flows through util/rng.h",
        false},
       {"tabbench-naked-new",
        "no naked new/delete; ownership via make_unique/unique_ptr", false},
